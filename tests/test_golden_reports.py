@@ -44,6 +44,10 @@ def test_every_registered_system_has_a_fixture():
 
 def test_no_orphaned_fixtures():
     expected = {regen_golden.golden_path(name).name for name in system_names()}
+    expected |= {
+        regen_golden.scenario_path(name).name
+        for name in regen_golden.SCENARIOS
+    }
     actual = {path.name for path in GOLDEN_DIR.glob("*.json")}
     assert actual == expected
 
@@ -65,3 +69,34 @@ def test_golden_fixture_schema(system_name):
     assert set(report["tenants"]) == {"acme", "globex"}
     assert report["replay"]["policy"] == "tenant"
     assert report["replay"]["cells"] == 2
+
+
+@pytest.mark.parametrize("scenario", sorted(regen_golden.SCENARIOS))
+def test_scenario_matches_golden(scenario):
+    path = regen_golden.scenario_path(scenario)
+    assert path.read_text() == regen_golden.scenario_report(scenario), (
+        f"{path.name}: {REGEN_HINT}"
+    )
+
+
+def _scenario_runs(scenario):
+    path = regen_golden.scenario_path(scenario)
+    return json.loads(path.read_text())["runs"]
+
+
+def test_scenarios_exercise_their_paths():
+    """Each scenario fixture reaches the model path it exists for."""
+    for run in _scenario_runs("vid_fanout4_24mb").values():
+        assert run["report"]["completed"] == 8
+    for name in ("faasflow", "production"):
+        counters = _scenario_runs("vid_fanout4_24mb")[name]["counters"]
+        assert counters["storage_puts"] > 0 and counters["storage_gets"] > 0
+    ttl = _scenario_runs("sink_ttl_short")["dataflower"]["counters"]
+    assert ttl["sink_spills"] > 0 and ttl["disk_bytes_read"] > 0
+    for run in _scenario_runs("keep_alive_short").values():
+        assert run["counters"]["recycled"] > 0
+    failures = _scenario_runs("failure_injection")["dataflower"]
+    assert len(failures["injected"]["crashes"]) == 2
+    assert failures["injected"]["flow_cancellations"]
+    assert failures["counters"]["redo"] > 2
+    assert failures["counters"]["checkpoint_restarts"] > 0
