@@ -79,13 +79,16 @@ class Container:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def compute(self, core_seconds: float, label: str = "compute"):
-        """Process generator: occupy the CPU share for the given work."""
+    def compute(self, core_seconds: float, label: str = "compute") -> "Event":
+        """Occupy the CPU share for the given work; the returned event
+        fires when it is done."""
         self._interval_seq += 1
         key = (label, self._interval_seq)
         self.intervals.begin(key, "cpu")
-        yield self.env.timeout(self.compute_seconds(core_seconds))
-        self.intervals.end(key)
+        return self.env.call_later(
+            self.compute_seconds(core_seconds),
+            lambda _event: self.intervals.end(key),
+        )
 
     def record_transfer(self, start: float, end: float) -> None:
         """Log a network-busy interval for utilization plots."""
@@ -161,15 +164,16 @@ class ContainerPool:
         self.cold_starts += 1
         ready = self.env.event()
 
-        def boot():
-            yield self.env.timeout(self.cold_start_s)
-            yield self.env.timeout(self.env_setup_s)
+        def booted(_event) -> None:
+            self.env.call_later(self.env_setup_s, set_up)
+
+        def set_up(_event) -> None:
             if container.state == COLD_STARTING:
                 container.mark_idle()
                 self._arm_keep_alive(container)
             ready.succeed(container)
 
-        self.env.process(boot())
+        self.env.call_later(self.cold_start_s, booted)
         return ready
 
     def checkout(self, container: Container) -> Container:
@@ -192,8 +196,7 @@ class ContainerPool:
             return
         idle_stamp = container.idle_since
 
-        def reaper():
-            yield self.env.timeout(self.keep_alive_s)
+        def reaper(_event) -> None:
             still_idle = (
                 container.state == IDLE and container.idle_since == idle_stamp
             )
@@ -205,7 +208,7 @@ class ContainerPool:
                     # the DLU; check again after another keep-alive period.
                     self._arm_keep_alive(container)
 
-        self.env.process(reaper())
+        self.env.call_later(self.keep_alive_s, reaper)
 
     def recycle(self, container: Container) -> None:
         if container.state == RECYCLED:

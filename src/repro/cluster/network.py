@@ -169,6 +169,29 @@ class NetworkFabric:
         self._rebalance(affected)
         return flow
 
+    def transfer_after(
+        self,
+        delay_s: float,
+        nbytes: float,
+        links: Iterable[SharedLink],
+        rate_cap: float = math.inf,
+        label: str = "flow",
+    ) -> Event:
+        """Start a flow ``delay_s`` from now (an operation's access
+        latency; ``0`` starts it at once); the returned event fires with
+        ``nbytes`` once the flow has moved them."""
+        done = Event(self.env)
+
+        def start(_event=None) -> None:
+            flow = self.transfer(nbytes, links, rate_cap=rate_cap, label=label)
+            flow.done.callbacks.append(lambda _event: done.succeed(nbytes))
+
+        if delay_s > 0:
+            self.env.call_later(delay_s, start)
+        else:
+            start()
+        return done
+
     # -- internal -----------------------------------------------------------
 
     def _collect_affected(self, links: List[SharedLink]) -> Set[Flow]:

@@ -59,20 +59,13 @@ class BackendStore:
         """
         self.put_count += 1
         self.bytes_in += nbytes
-        links = list(via) + [self.ingress]
-        done = self.env.event()
-
-        def run():
-            if self.op_latency_s > 0:
-                yield self.env.timeout(self.op_latency_s)
-            flow = self.fabric.transfer(
-                nbytes, links, rate_cap=rate_cap, label=f"put:{key}"
-            )
-            yield flow.done
-            self.objects[key] = nbytes
-            done.succeed(nbytes)
-
-        self.env.process(run())
+        done = self.fabric.transfer_after(
+            self.op_latency_s, nbytes, list(via) + [self.ingress],
+            rate_cap=rate_cap, label=f"put:{key}",
+        )
+        done.callbacks.append(
+            lambda _event: self.objects.__setitem__(key, nbytes)
+        )
         return done
 
     def get(
@@ -93,20 +86,10 @@ class BackendStore:
             nbytes = self.objects[key]
         self.get_count += 1
         self.bytes_out += nbytes
-        links = [self.egress] + list(via)
-        done = self.env.event()
-
-        def run():
-            if self.op_latency_s > 0:
-                yield self.env.timeout(self.op_latency_s)
-            flow = self.fabric.transfer(
-                nbytes, links, rate_cap=rate_cap, label=f"get:{key}"
-            )
-            yield flow.done
-            done.succeed(nbytes)
-
-        self.env.process(run())
-        return done
+        return self.fabric.transfer_after(
+            self.op_latency_s, nbytes, [self.egress] + list(via),
+            rate_cap=rate_cap, label=f"get:{key}",
+        )
 
     def delete(self, key: Tuple) -> None:
         self.objects.pop(key, None)
@@ -134,14 +117,6 @@ class MemoryChannel:
     def copy(self, nbytes: float, label: str = "memcopy") -> "Event":
         """Move ``nbytes`` across the local memory bus."""
         self.bytes_moved += nbytes
-        done = self.env.event()
-
-        def run():
-            if self.op_latency_s > 0:
-                yield self.env.timeout(self.op_latency_s)
-            flow = self.fabric.transfer(nbytes, [self.membus], label=label)
-            yield flow.done
-            done.succeed(nbytes)
-
-        self.env.process(run())
-        return done
+        return self.fabric.transfer_after(
+            self.op_latency_s, nbytes, [self.membus], label=label
+        )

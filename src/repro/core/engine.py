@@ -46,14 +46,11 @@ class NodeEngine:
         hand the invocation to the function's dispatcher."""
         self.triggers += 1
 
-        def run():
-            with self._slot.request() as slot:
-                yield slot
-                yield self.env.timeout(self._trigger_cost())
+        def triggered() -> None:
             on_triggered()
             dispatch()
 
-        self.env.process(run())
+        self._slot.occupy(self._trigger_cost, triggered)
 
     def __repr__(self) -> str:
         return f"<NodeEngine {self.node.name} triggers={self.triggers}>"

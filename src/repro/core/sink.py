@@ -25,6 +25,7 @@ from ..cluster.node import Node
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.cluster import Cluster
     from ..sim.environment import Environment
+    from ..sim.events import Event
 
 SinkKey = Tuple[str, str, str]  # (request_id, dst_task_id, dataname)
 
@@ -121,25 +122,39 @@ class WaitMatchMemory:
 
     # -- fetch ------------------------------------------------------------------
 
-    def fetch(self, key: SinkKey):
-        """Process generator: copy the datum into a container's WORKDIR.
+    def fetch(self, key: SinkKey) -> "Event":
+        """Copy the datum into a container's WORKDIR; the returned event
+        fires once it is there.
 
         In-memory entries cross the local memory bus; spilled entries incur
         the disk read first.  Once the destination FLU has received the
         data the entry is **proactively released** (§7) — if that FLU later
         crashes, the engine backtracks and ReDoes the producer (§6.2).
+        Raises :class:`KeyError` at once when no entry exists.
         """
         entry = self._lookup(key)
         if entry is None:
             raise KeyError(f"sink {self.node.name}: no entry for {key!r}")
         entry.generation += 1
-        if entry.state is EntryState.SPILLED:
-            yield self.node.disk.read(entry.nbytes, label="sink-unspill")
         channel = self.cluster.memory_channel(self.node)
-        yield channel.copy(entry.nbytes, label="sink-fetch")
-        entry.fetched = True
-        if self.proactive_release:
-            self._free(entry)
+
+        def copied(_event) -> None:
+            entry.fetched = True
+            if self.proactive_release:
+                self._free(entry)
+
+        def copy() -> "Event":
+            event = channel.copy(entry.nbytes, label="sink-fetch")
+            event.callbacks.append(copied)
+            return event
+
+        if entry.state is not EntryState.SPILLED:
+            return copy()
+        done = self.env.event()
+        self.node.disk.read(entry.nbytes, label="sink-unspill").callbacks.append(
+            lambda _event: copy().callbacks.append(done.trigger)
+        )
+        return done
 
     # -- lifetime management -----------------------------------------------------
 
@@ -174,8 +189,7 @@ class WaitMatchMemory:
     def _arm_ttl(self, entry: SinkEntry) -> None:
         generation = entry.generation
 
-        def expire():
-            yield self.env.timeout(self.ttl_s)
+        def expire(_event) -> None:
             stale = (
                 entry.state is EntryState.IN_MEMORY
                 and entry.generation == generation
@@ -189,7 +203,7 @@ class WaitMatchMemory:
                 self.spills += 1
                 self.node.disk.write(entry.nbytes, label="sink-spill")
 
-        self.env.process(expire())
+        self.env.call_later(self.ttl_s, expire)
 
     # -- introspection ------------------------------------------------------------
 

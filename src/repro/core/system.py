@@ -200,13 +200,9 @@ class DataFlowerSystem(WorkflowSystem):
             fetch_start = self.env.now
             fetches = []
             if task.is_entry and state.graph.request.input_bytes > 0:
-                fetches.append(
-                    self.env.process(sink.fetch(plane.user_input_key(task)))
-                )
+                fetches.append(sink.fetch(plane.user_input_key(task)))
             for edge in task.inputs:
-                fetches.append(
-                    self.env.process(sink.fetch(plane.input_key(task, edge)))
-                )
+                fetches.append(sink.fetch(plane.input_key(task, edge)))
             if fetches:
                 yield self.env.all_of(fetches)
             record.get_s = self.env.now - fetch_start
@@ -218,7 +214,7 @@ class DataFlowerSystem(WorkflowSystem):
             duration = container.compute_seconds(core_seconds)
             compute_start = self.env.now
             self._schedule_pushes(deployment, state, invocation, duration)
-            yield self.env.process(container.compute(core_seconds))
+            yield container.compute(core_seconds)
             record.compute_s = self.env.now - compute_start
             record.exec_end = self.env.now
             invocation.compute_done.succeed()
@@ -281,22 +277,20 @@ class DataFlowerSystem(WorkflowSystem):
             else:
                 fraction = invocation.edge_ready_fraction(index, total, profile)
 
-            def produce(gate=gate, fraction=fraction):
-                yield self.env.timeout(duration * fraction)
+            def produce(_event, gate=gate) -> None:
                 if not gate.triggered:
                     gate.succeed()
 
-            self.env.process(produce())
+            self.env.call_later(duration * fraction, produce)
 
-        def start():
-            yield self.env.timeout(delay)
+        def start(_event) -> None:
             if invocation.cancel_token[0]:
                 return
             dlu = self._dlu_of(invocation.container)
             for edge in task.outputs:
                 self._push_edge(deployment, state, invocation, dlu, src_node, edge)
 
-        self.env.process(start())
+        self.env.call_later(delay, start)
 
     def _push_edge(self, deployment, state, invocation: FluInvocation, dlu: DLU,
                    src_node: Node, edge) -> None:
@@ -429,8 +423,7 @@ class DataFlowerSystem(WorkflowSystem):
         )
 
         if not missing_edges and not user_input_missing:
-            def resubmit():
-                yield self.env.timeout(self.config.retry_delay_s)
+            def resubmit(_event) -> None:
                 dispatcher = deployment.dispatcher(task.function)
                 dispatcher.submit(
                     lambda container: self._start_flu(
@@ -438,7 +431,7 @@ class DataFlowerSystem(WorkflowSystem):
                     )
                 )
 
-            self.env.process(resubmit())
+            self.env.call_later(self.config.retry_delay_s, resubmit)
             return
 
         # Backtracking: mark the missing data undelivered so the normal

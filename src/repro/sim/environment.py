@@ -7,12 +7,22 @@ bindings rather than per-event method calls.  :meth:`Environment.step`
 remains the single-event API (tests and tools drive it directly); the
 run loop inlines the identical logic.  Scheduling semantics — (time,
 priority, insertion-order) order — are untouched.
+
+Every heap insertion goes through :meth:`Environment.schedule` or
+:meth:`Environment.schedule_urgent`, so wrapping those two counts every
+event.  Model code follows one idiom: a leaf operation (a timer, a
+one-shot transfer, a serialized trigger) returns an event and chains
+its steps with callbacks, starting with :meth:`Environment.call_later`;
+a generator :class:`~repro.sim.process.Process` is only for a coroutine
+that waits more than once in a loop or can be interrupted.  A process
+costs a generator frame, an urgent kick-off event and a completion
+event; a callback costs none of them.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .events import (
     AllOf,
@@ -38,13 +48,14 @@ class Environment:
     insertion-order) order, which makes runs fully deterministic.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_stack")
+    __slots__ = ("_now", "_queue", "_eid", "_active_stack", "_processes")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_stack: List[Process] = []
+        self._processes = 0
 
     # -- clock ---------------------------------------------------------------
 
@@ -52,6 +63,19 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    # -- counters --------------------------------------------------------------
+
+    @property
+    def events_scheduled(self) -> int:
+        """Events queued so far: each heap insertion takes the next
+        insertion id, so this is the last id handed out."""
+        return self._eid
+
+    @property
+    def processes_started(self) -> int:
+        """Generator processes started so far."""
+        return self._processes
 
     # -- event factories ------------------------------------------------------
 
@@ -66,6 +90,20 @@ class Environment:
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator)
+
+    def call_later(
+        self, delay: float, callback: Callable[[Event], None]
+    ) -> Timeout:
+        """Run ``callback(timeout)`` ``delay`` seconds from now.
+
+        The returned :class:`Timeout` carries ``callback`` as its only
+        callback, so other callbacks (or a waiting process) added later
+        run after it at the same pop.  An exception ``callback`` raises
+        propagates out of :meth:`run`.
+        """
+        timeout = Timeout(self, delay)
+        timeout.callbacks.append(callback)  # type: ignore[union-attr]
+        return timeout
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -1,8 +1,11 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel follows the classic generator-coroutine design: simulation
-*processes* are Python generators that ``yield`` :class:`Event` objects and
-are resumed when those events fire.  Events move through three states:
+An :class:`Event` is a one-shot occurrence with a list of callbacks the
+environment runs when it pops the event.  Leaf operations of the models
+return events and chain their steps as callbacks; only coroutines that
+wait more than once or can be interrupted are written as generator
+*processes* (:mod:`repro.sim.process`), which ``yield`` events and are
+resumed when those fire.  Events move through three states:
 
 ``PENDING``
     Created but not yet triggered; callbacks may still be added.
@@ -59,10 +62,8 @@ class Event:
     @classmethod
     def _new_triggered(cls, env: "Environment", callback) -> "Event":
         """Kernel-internal fast path: a pre-triggered event with one
-        callback, ready to schedule.  Initializes exactly the fields
-        ``__init__`` sets (keep the two in sync) minus a dispatch —
-        process kick-off creates one of these per process, which is the
-        hottest allocation site in a replay.
+        callback, ready to schedule (a process kick-off).  Initializes
+        exactly the fields ``__init__`` sets (keep the two in sync).
         """
         event = cls.__new__(cls)
         event.env = env

@@ -34,6 +34,7 @@ class Process(Event):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
+        env._processes += 1
         self._generator = generator
         # Kick the generator off via an immediately-processed urgent event.
         init = Event._new_triggered(env, self._advance)

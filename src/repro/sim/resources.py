@@ -68,6 +68,27 @@ class Resource:
     def request(self) -> Request:
         return Request(self)
 
+    def occupy(
+        self, duration: Callable[[], float], then: Callable[[], None]
+    ) -> Request:
+        """Acquire one unit, hold it ``duration()`` seconds (drawn when
+        the unit is granted), release it, then call ``then()``.
+
+        The callback form of ``with request() as req: yield req; yield
+        env.timeout(duration())`` for callers that need no coroutine.
+        """
+        request = Request(self)
+
+        def release(_event: Event) -> None:
+            self.release(request)
+            then()
+
+        def granted(_event: Event) -> None:
+            self.env.call_later(duration(), release)
+
+        request.callbacks.append(granted)  # type: ignore[union-attr]
+        return request
+
     def release(self, request: Request) -> None:
         """Return a previously granted unit."""
         try:

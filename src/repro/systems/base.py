@@ -135,12 +135,11 @@ class FunctionDispatcher:
             self.idle.put(container)
             return
 
-        def delayed():
-            yield self.env.timeout(delay_s)
+        def delayed(_event) -> None:
             if container.alive:
                 self.idle.put(container)
 
-        self.env.process(delayed())
+        self.env.call_later(delay_s, delayed)
 
     def maybe_scale_out(self) -> None:
         """Cold-start a container when demand outstrips warm supply."""

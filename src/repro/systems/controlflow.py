@@ -28,6 +28,7 @@ from .base import Deployment, RequestState, SystemConfig, WorkflowSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
+    from ..sim.events import Event
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,15 @@ class ControlFlowSystem(WorkflowSystem):
         """The control-plane resource that serializes triggers."""
 
     @abc.abstractmethod
-    def _get_input(self, deployment, state, task, edge, container):
-        """Process generator fetching one input edge into the container."""
+    def _get_input(self, deployment, state, task, edge, container) -> "Event":
+        """Fetch one input edge into the container; the event fires when
+        it is there."""
 
     @abc.abstractmethod
-    def _put_output(self, deployment, state, task, edge, container):
-        """Process generator persisting/forwarding one output edge."""
+    def _put_output(self, deployment, state, task, edge, container) -> "Event":
+        """Persist/forward one output edge; the event fires when done."""
 
-    def _get_user_input(self, deployment, state, task, container):
+    def _get_user_input(self, deployment, state, task, container) -> "Event":
         """Fetch the request's input into the entry container.
 
         Default: the user uploaded the input to backend storage; the entry
@@ -75,10 +77,9 @@ class ControlFlowSystem(WorkflowSystem):
         node = deployment.node_of(task.function)
         if self.config.input_local:
             channel = self.cluster.memory_channel(node)
-            yield channel.copy(nbytes, label="input-local")
-            return
+            return channel.copy(nbytes, label="input-local")
         key = (state.record.request_id, "$input")
-        yield self.cluster.storage.get(
+        return self.cluster.storage.get(
             key,
             via=[node.ingress, container.ingress],
             rate_cap=container.spec.net_bytes_per_s,
@@ -122,12 +123,7 @@ class ControlFlowSystem(WorkflowSystem):
         record.node = node.name
         orchestrator = self._orchestrator(node)
 
-        def trigger():
-            # The orchestrator updates its state machine and triggers the
-            # function in topological order; triggers serialize through it.
-            with orchestrator.request() as slot:
-                yield slot
-                yield self.env.timeout(self._trigger_cost())
+        def triggered() -> None:
             record.trigger_time = self.env.now
             dispatcher = deployment.dispatcher(task.function)
             dispatcher.submit(
@@ -138,7 +134,9 @@ class ControlFlowSystem(WorkflowSystem):
                 )
             )
 
-        self.env.process(trigger())
+        # The orchestrator updates its state machine and triggers the
+        # function in topological order; triggers serialize through it.
+        orchestrator.occupy(self._trigger_cost, triggered)
 
     def _run_on_container(
         self, deployment, state, task: Task, container: Container, finish
@@ -152,15 +150,11 @@ class ControlFlowSystem(WorkflowSystem):
         gets = []
         if task.is_entry:
             gets.append(
-                self.env.process(
-                    self._get_user_input(deployment, state, task, container)
-                )
+                self._get_user_input(deployment, state, task, container)
             )
         for edge in task.inputs:
             gets.append(
-                self.env.process(
-                    self._get_input(deployment, state, task, edge, container)
-                )
+                self._get_input(deployment, state, task, edge, container)
             )
         if gets:
             yield self.env.all_of(gets)
@@ -174,15 +168,13 @@ class ControlFlowSystem(WorkflowSystem):
         core_seconds = function.profile.compute.core_seconds(
             task.input_bytes, self.rng.stream(f"compute:{task.function}")
         )
-        yield self.env.process(container.compute(core_seconds))
+        yield container.compute(core_seconds)
         record.compute_s = self.env.now - compute_start
 
         # Phase 3: Put() — persist every output before completion.
         put_start = self.env.now
         puts = [
-            self.env.process(
-                self._put_output(deployment, state, task, edge, container)
-            )
+            self._put_output(deployment, state, task, edge, container)
             for edge in task.outputs
         ]
         if puts:
@@ -214,16 +206,16 @@ class ControlFlowSystem(WorkflowSystem):
     def _edge_key(self, state, edge: TaskEdge) -> Tuple:
         return (state.record.request_id, edge.src.task_id, edge.dataname)
 
-    def _backend_put(self, state, edge, node, container):
-        yield self.cluster.storage.put(
+    def _backend_put(self, state, edge, node, container) -> "Event":
+        return self.cluster.storage.put(
             self._edge_key(state, edge),
             edge.nbytes,
             via=[container.egress, node.egress],
             rate_cap=container.spec.net_bytes_per_s,
         )
 
-    def _backend_get(self, state, edge, node, container):
-        yield self.cluster.storage.get(
+    def _backend_get(self, state, edge, node, container) -> "Event":
+        return self.cluster.storage.get(
             self._edge_key(state, edge),
             via=[node.ingress, container.ingress],
             rate_cap=container.spec.net_bytes_per_s,

@@ -46,7 +46,7 @@ def test_negative_deposit_rejected():
 def test_fetch_copies_through_membus():
     env, cluster, node, sink = make_sink()
     sink.deposit(KEY, 10e6)
-    done = env.process(sink.fetch(KEY))
+    done = sink.fetch(KEY)
     env.run(until=done)
     # membus latency 0.2ms + 10 MB over 4 GB/s.
     assert env.now == pytest.approx(0.0002 + 10e6 / 4e9, rel=1e-3)
@@ -54,9 +54,8 @@ def test_fetch_copies_through_membus():
 
 def test_fetch_missing_key_raises():
     env, cluster, node, sink = make_sink()
-    proc = env.process(sink.fetch(KEY))
     with pytest.raises(KeyError):
-        env.run(until=proc)
+        sink.fetch(KEY)
 
 
 def test_proactive_release_frees_memory():
@@ -102,7 +101,7 @@ def test_fetch_proactively_releases_entry():
     """§7: data is freed as soon as the destination FLU has received it."""
     env, cluster, node, sink = make_sink(ttl_s=5.0)
     sink.deposit(KEY, 1e6)
-    done = env.process(sink.fetch(KEY))
+    done = sink.fetch(KEY)
     env.run(until=done)
     assert not sink.is_present(KEY)
     assert node.cache_usage.level == pytest.approx(0.0)
@@ -113,7 +112,7 @@ def test_fetch_proactively_releases_entry():
 def test_fetched_entry_lingers_without_proactive_release():
     env, cluster, node, sink = make_sink(ttl_s=5.0, proactive=False)
     sink.deposit(KEY, 1e6)
-    done = env.process(sink.fetch(KEY))
+    done = sink.fetch(KEY)
     env.run(until=done)
     env.run(until=10.0)
     entry = sink._lookup(KEY)
@@ -126,7 +125,7 @@ def test_spilled_entry_fetch_reads_disk():
     sink.deposit(KEY, 1e6)
     env.run(until=2.0)
     reads_before = node.disk.bytes_read
-    done = env.process(sink.fetch(KEY))
+    done = sink.fetch(KEY)
     env.run(until=done)
     assert node.disk.bytes_read == reads_before + 1e6
 
@@ -157,7 +156,7 @@ def test_resident_bytes_tracks_memory_entries_only():
     sink.deposit(("r1", "t", "mem"), 100)
     sink.deposit(("r2", "t", "spill"), 200)
     # Fetch the first so it cannot expire; let the second spill.
-    done = env.process(sink.fetch(("r1", "t", "mem")))
+    done = sink.fetch(("r1", "t", "mem"))
     env.run(until=done)
     env.run(until=2.0)
     assert sink.resident_bytes() == pytest.approx(100)

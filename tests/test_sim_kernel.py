@@ -177,6 +177,110 @@ def test_unhandled_process_failure_propagates_from_run():
         env.run()
 
 
+def test_call_later_fires_at_now_plus_delay():
+    env = Environment()
+    fired = []
+    env.run(until=1.5)
+    timeout = env.call_later(2.0, lambda event: fired.append((env.now, event)))
+    assert isinstance(timeout, Timeout)
+    env.run()
+    assert fired == [(3.5, timeout)]
+
+
+def test_call_later_keeps_same_time_fifo_order():
+    """Same-time ties pop in scheduling order, whichever way an event was
+    made; a process's first timer is scheduled only when its kick-off
+    pops, so it follows everything scheduled before that."""
+    env = Environment()
+    order = []
+
+    def proc(env):
+        yield env.timeout(1.0)
+        order.append("process")
+
+    env.call_later(1.0, lambda _event: order.append("a"))
+    env.timeout(1.0).callbacks.append(lambda _event: order.append("timeout"))
+    env.process(proc(env))
+    env.call_later(1.0, lambda _event: order.append("b"))
+    env.run()
+    assert order == ["a", "timeout", "b", "process"]
+
+
+def test_call_later_callback_runs_before_later_waiters():
+    env = Environment()
+    order = []
+
+    def waiter(env, event):
+        yield event
+        order.append(("waiter", env.now))
+
+    timeout = env.call_later(0.5, lambda _event: order.append(("callback", env.now)))
+    env.process(waiter(env, timeout))
+    env.run()
+    assert order == [("callback", 0.5), ("waiter", 0.5)]
+
+
+def test_call_later_rejects_negative_delay():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.call_later(-0.1, lambda _event: None)
+    assert env.events_scheduled == 0
+
+
+def test_call_later_callback_exception_propagates_from_run():
+    env = Environment()
+
+    def crash(_event):
+        raise RuntimeError("leaf crashed")
+
+    env.call_later(2.0, crash)
+    with pytest.raises(RuntimeError, match="leaf crashed"):
+        env.run()
+    assert env.now == 2.0
+
+
+def test_kernel_counters():
+    env = Environment()
+    assert (env.events_scheduled, env.processes_started) == (0, 0)
+
+    def proc(env):
+        yield env.timeout(1.0)
+
+    env.call_later(1.0, lambda _event: None)  # one event
+    env.process(proc(env))  # kick-off, its timeout, its completion
+    env.run()
+    assert env.processes_started == 1
+    assert env.events_scheduled == 4
+
+
+def test_events_scheduled_counts_every_heap_insertion(monkeypatch):
+    """Each heap insertion goes through ``schedule``/``schedule_urgent``,
+    so wrapping those two sees every event ``events_scheduled`` counts."""
+    from repro.experiments.common import make_setup
+    from repro.loadgen.trace import InvocationTrace, run_trace
+
+    calls = []
+    for name in ("schedule", "schedule_urgent"):
+        original = getattr(Environment, name)
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Environment, name, counted)
+    trace = InvocationTrace.from_csv(
+        "at_s,tenant,app,input_bytes,fanout,seed\n"
+        "0.0,a,wc,1MB,3,0\n0.2,b,wc,2MB,2,1\n",
+        name="counters",
+    )
+    for system_name in ("dataflower", "faasflow", "sonic", "production"):
+        calls.clear()
+        setup = make_setup(system_name, "wc")
+        run_trace(setup.system, trace, default_app="wc")
+        assert setup.env.events_scheduled == len(calls) > 0
+        assert 0 < setup.env.processes_started < len(calls)
+
+
 def test_all_of_collects_all_values():
     env = Environment()
     results = []

@@ -46,7 +46,7 @@ def run_scenario(actions, proactive, passive):
                 sink.deposit(key, amount)
             elif action == Action.FETCH:
                 if sink.is_present(key):
-                    yield env.process(sink.fetch(key))
+                    yield sink.fetch(key)
             elif action == Action.RELEASE:
                 sink.release(key)
             elif action == Action.WAIT:
