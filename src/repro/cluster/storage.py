@@ -63,9 +63,11 @@ class BackendStore:
             self.op_latency_s, nbytes, list(via) + [self.ingress],
             rate_cap=rate_cap, label=f"put:{key}",
         )
-        done.callbacks.append(
-            lambda _event: self.objects.__setitem__(key, nbytes)
-        )
+
+        def stored(_event) -> None:
+            self.objects[key] = nbytes
+
+        done.callbacks.append(stored)
         return done
 
     def get(

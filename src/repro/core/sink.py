@@ -151,8 +151,12 @@ class WaitMatchMemory:
         if entry.state is not EntryState.SPILLED:
             return copy()
         done = self.env.event()
+
+        def unspilled(_event) -> None:
+            copy().callbacks.append(done.trigger)
+
         self.node.disk.read(entry.nbytes, label="sink-unspill").callbacks.append(
-            lambda _event: copy().callbacks.append(done.trigger)
+            unspilled
         )
         return done
 

@@ -3,11 +3,16 @@
 Public surface::
 
     env = Environment()
+    env.call_later(0.5, lambda event: print("leaf step"))
     def proc(env):
         yield env.timeout(1.0)
         return "done"
     p = env.process(proc(env))
     env.run()
+
+Leaf operations use callbacks (``call_later``, event callbacks); a
+generator process is for a coroutine that waits more than once or can
+be interrupted.
 """
 
 from .environment import EmptySchedule, Environment

@@ -14,7 +14,7 @@ event.  Model code follows one idiom: a leaf operation (a timer, a
 one-shot transfer, a serialized trigger) returns an event and chains
 its steps with callbacks, starting with :meth:`Environment.call_later`;
 a generator :class:`~repro.sim.process.Process` is only for a coroutine
-that waits more than once in a loop or can be interrupted.  A process
+that waits more than once or can be interrupted.  A process
 costs a generator frame, an urgent kick-off event and a completion
 event; a callback costs none of them.
 """
