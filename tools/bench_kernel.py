@@ -42,14 +42,16 @@ DEFAULT_OUTPUT = ROOT / "BENCH_kernel.json"
 #: Arrival rate of each of the two tenants: light enough that no system
 #: builds a backlog, so every point measures the same simulated work.
 TENANT_RPM = 30.0
+#: Seed of the synthetic trace and of every replayed world.
+SEED = 1
 
 
-def _trace(app: str, requests: int, seed: int):
+def _trace(app: str, requests: int):
     from repro.loadgen.trace import InvocationTrace, synthesize_trace
 
     trace = synthesize_trace(
         tenants=2, duration_s=1.5 * requests / (2 * TENANT_RPM / 60.0),
-        mean_rpm=TENANT_RPM, apps=[app], rate_sigma=0.0, seed=seed,
+        mean_rpm=TENANT_RPM, apps=[app], rate_sigma=0.0, seed=SEED,
         name=f"kernel-{app}",
     )
     if len(trace) < requests:
@@ -57,19 +59,17 @@ def _trace(app: str, requests: int, seed: int):
     return InvocationTrace(events=trace.events[:requests], name=trace.name)
 
 
-def measure_point(system: str, app: str, requests: int, reps: int,
-                  seed: int) -> dict:
+def measure_point(system: str, app: str, requests: int, reps: int) -> dict:
     """The subprocess body: one warm-up and ``reps`` timed replays."""
     from repro.loadgen.trace import run_trace
     from repro.metrics.report import render_json
     from repro.parallel import ReplaySpec
 
-    trace = _trace(app, requests, seed)
-    spec = ReplaySpec(system_name=system, default_app=app, seed=seed)
+    trace = _trace(app, requests)
+    spec = ReplaySpec(system_name=system, default_app=app, seed=SEED)
     samples = []
     digests = set()
     for rep in range(reps + 1):
-        setup_start = time.perf_counter()
         setup = spec.build_setup(trace, "kernel")
         start = time.perf_counter()
         result = run_trace(setup.system, trace, default_app=app)
@@ -78,11 +78,11 @@ def measure_point(system: str, app: str, requests: int, reps: int,
             render_json(result.to_dict()).encode("utf-8")
         ).hexdigest())
         if rep:  # the first replay only warms imports and caches
-            samples.append((wall, start - setup_start))
+            samples.append(wall)
     if len(digests) != 1:
         raise SystemExit(f"{system}/{app}: report changed between replays")
     env = setup.env
-    wall = statistics.median(wall for wall, _ in samples)
+    wall = statistics.median(samples)
     return {
         "system": system,
         "app": app,
@@ -92,9 +92,6 @@ def measure_point(system: str, app: str, requests: int, reps: int,
         "processes_per_request": round(env.processes_started / requests, 2),
         "us_per_event": round(1e6 * wall / env.events_scheduled, 3),
         "requests_per_s": round(requests / wall, 1),
-        "setup_ms": round(
-            1e3 * statistics.median(setup for _, setup in samples), 2
-        ),
         "report_sha256": digests.pop(),
     }
 
@@ -103,7 +100,7 @@ def _spawn(system: str, app: str, args) -> dict:
     command = [
         sys.executable, str(Path(__file__).resolve()),
         "--point", f"{system}:{app}", "--requests", str(args.requests),
-        "--reps", str(args.reps), "--seed", str(args.seed),
+        "--reps", str(args.reps),
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     completed = subprocess.run(
@@ -116,7 +113,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--requests", type=int, default=120)
     parser.add_argument("--reps", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--point", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -126,7 +122,7 @@ def main(argv=None) -> int:
     if args.point:
         system, app = args.point.split(":")
         print(json.dumps(
-            measure_point(system, app, args.requests, args.reps, args.seed)
+            measure_point(system, app, args.requests, args.reps)
         ))
         return 0
 
@@ -145,7 +141,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "requests": args.requests,
         "reps": args.reps,
-        "seed": args.seed,
+        "seed": SEED,
         "points": points,
     }
     trajectory = {"bench": "kernel", "runs": []}
