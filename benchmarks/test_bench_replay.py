@@ -1,35 +1,31 @@
-"""Bench: replay engine throughput — streaming work-stealing vs baselines.
+"""Bench: replay engine throughput — serial loop vs work-stealing pool.
 
-Two benches, each printing one machine-greppable ``BENCH {json}`` line
-so the replay-throughput trajectory is tracked across commits
+One bench, printing one machine-greppable ``BENCH {json}`` line so the
+replay-throughput trajectory is tracked across commits
 (``tools/bench_replay.py`` collects the points into
-``BENCH_replay.json``):
+``BENCH_replay.json``, together with the memory, multicore and spill
+points defined here):
 
 ``replay_throughput``
-    Serial versus the streamed process-pool engine on a mildly skewed
-    multi-tenant trace — the end-to-end scale-up number.
-``replay_skew_stealing``
-    The tentpole comparison: a deliberately skewed trace (one ``hot``
-    tenant with ~10x any other tenant's events) replayed by the legacy
-    static hash-batched engine (``stream=False``) versus the
-    cell-granular work-stealing scheduler.  Static batching strands the
-    hot tenant's shard with extra cells (``max_shard_events`` vs the
-    steal-optimal ``max_cell_events`` is the deterministic headroom);
-    work stealing starts the hot cell first and packs the rest around
-    it.  Both engines must produce byte-identical merged reports.
+    Serial versus the work-stealing process pool on a mildly skewed
+    multi-tenant trace — the end-to-end scale-up number.  The point
+    also records the pool run's critical path (its slowest cell) and
+    the largest cell's share of the trace's events: no schedule can
+    finish before its largest cell does, so a speedup below the bar
+    with a critical path close to the pool's wall clock is a property
+    of the trace, not of the engine.
 
-Engine-vs-engine comparisons run each engine in a *fresh subprocess*
-(``tools/bench_replay.py --engine``): within one process the second
-engine's forked workers inherit the first run's heap (their first
-collections traverse it, unsharing copy-on-write pages), and the RSS
-high-water mark is monotonic — same-process comparison systematically
-penalizes whichever engine runs second.
+Pool measurements the tool records run each configuration in a *fresh
+subprocess* (``tools/bench_replay.py --one-replay``): within one
+process a later run's forked workers inherit the earlier run's heap
+(their first collections traverse it, unsharing copy-on-write pages),
+and the RSS high-water mark is monotonic — same-process comparison
+systematically penalizes whichever configuration runs second.
 
 Assertions scale with the cores actually available — on a single-core
-runner the comparisons only bound overhead, while at 4+ cores the
-work-stealing engine must clear the 1.3x bar (the ISSUE's acceptance
-criterion).  ``BENCH_REPLAY_SCALE`` scales trace duration (1.0 ~= 900
-events; ~114 gives the 100k-event acceptance trace).
+runner the comparison only bounds overhead.  ``BENCH_REPLAY_SCALE``
+scales trace duration (1.0 ~= 900 events; ~114 gives the 100k-event
+acceptance trace).
 """
 
 import dataclasses
@@ -41,7 +37,7 @@ import time
 from pathlib import Path
 
 from repro.loadgen.trace import InvocationTrace, synthesize_trace
-from repro.parallel import ReplaySpec, partition_trace, run_parallel_replay
+from repro.parallel import ReplaySpec, get_shard_policy, run_parallel_replay
 
 SCALE = float(os.environ.get("BENCH_REPLAY_SCALE", "1.0"))
 SHARDS = 4
@@ -74,7 +70,7 @@ def make_skewed_trace(scale: float = None, small_tenants: int = SMALL_TENANTS,
 
 
 def throughput_point(scale: float = None) -> dict:
-    """Serial vs streamed-parallel wall clock on a lognormal trace."""
+    """Serial vs pool wall clock on a lognormal trace."""
     if scale is None:
         scale = SCALE
     trace = synthesize_trace(
@@ -95,6 +91,9 @@ def throughput_point(scale: float = None) -> dict:
     assert len(parallel.completed) == len(trace)
 
     speedup = serial_wall / parallel.wall_s if parallel.wall_s > 0 else 0.0
+    largest_cell = max(
+        len(cell) for _, cell in get_shard_policy("tenant").split(trace)
+    )
     return {
         "bench": "replay_throughput",
         "events": len(trace),
@@ -107,25 +106,26 @@ def throughput_point(scale: float = None) -> dict:
         "serial_events_per_s": round(len(trace) / serial_wall, 2),
         "parallel_events_per_s": round(parallel.events_per_s(), 2),
         "speedup": round(speedup, 3),
+        # The pool's slowest cell bounds its wall clock from below.
+        "critical_path_s": round(max(parallel.cell_wall_s.values()), 4),
+        "largest_cell_share": round(largest_cell / len(trace), 3),
     }
 
 
-def replay_skewed(stream: bool, scale: float = None, workers: int = WORKERS,
+def replay_skewed(scale: float = None, workers: int = WORKERS,
                   shards: int = SHARDS, record_sink=None):
-    """One skew-bench engine run; returns the merged result."""
+    """One skewed-trace replay; returns the merged result."""
     trace = make_skewed_trace(scale)
     spec = ReplaySpec(default_app="wc", seed=1, record_sink=record_sink)
-    return run_parallel_replay(
-        trace, spec, shards=shards, workers=workers, stream=stream
-    )
+    return run_parallel_replay(trace, spec, shards=shards, workers=workers)
 
 
-def engine_subprocess(engine: str, scale: float = None,
-                      workers: int = WORKERS, shards: int = SHARDS,
+def replay_subprocess(scale: float = None, workers: int = WORKERS,
+                      shards: int = SHARDS,
                       record_sink: str = "memory") -> dict:
-    """Run one engine configuration in a fresh interpreter.
+    """Run one skewed-trace replay in a fresh interpreter.
 
-    Returns the ``tools/bench_replay.py --engine`` result dict: events,
+    Returns the ``tools/bench_replay.py --one-replay`` result dict: events,
     isolated wall clock and parent peak RSS, and the SHA-256 of the
     canonical report rendering — identity across configurations is
     checked by hash, so the subprocess boundary never weakens the
@@ -134,7 +134,7 @@ def engine_subprocess(engine: str, scale: float = None,
     if scale is None:
         scale = SCALE
     command = [
-        sys.executable, str(_BENCH_TOOL), "--engine", engine,
+        sys.executable, str(_BENCH_TOOL), "--one-replay",
         "--scale", str(scale), "--workers", str(workers),
         "--shards", str(shards),
     ]
@@ -144,85 +144,28 @@ def engine_subprocess(engine: str, scale: float = None,
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def skew_point(scale: float = None, workers: int = WORKERS) -> dict:
-    """Static-batched vs work-stealing on the skewed trace, one point.
-
-    Each engine runs in a fresh subprocess (see the module docstring) —
-    the wall clocks and RSS marks are clean per-engine measurements,
-    and report identity is checked via the canonical rendering's
-    SHA-256 across the process boundary.
-    """
-    trace = make_skewed_trace(scale)
-    cores = os.cpu_count() or 1
-    batches = partition_trace(trace, SHARDS)
-    shard_loads = [sum(len(cell) for _, cell in batch) for batch in batches]
-    cell_loads = [len(cell) for batch in batches for _, cell in batch]
-    hot_events = sum(1 for e in trace.events if e.tenant == "hot")
-    tenants = len(trace.tenants())
-    del batches
-
-    batched = engine_subprocess("batched", scale, workers)
-    streamed = engine_subprocess("streamed", scale, workers)
-    identical = batched["report_sha256"] == streamed["report_sha256"]
-    speedup = (
-        batched["wall_s"] / streamed["wall_s"]
-        if streamed["wall_s"] > 0 else 0.0
-    )
-    return {
-        "bench": "replay_skew_stealing",
-        "events": len(trace),
-        "tenants": tenants,
-        "hot_events": hot_events,
-        "shards": SHARDS,
-        "workers": workers,
-        "cpu_count": cores,
-        # Deterministic imbalance: the busiest static shard vs the
-        # busiest single cell (= the steal-optimal critical path).
-        "max_shard_events": max(shard_loads),
-        "max_cell_events": max(cell_loads),
-        "batched_wall_s": batched["wall_s"],
-        "streamed_wall_s": streamed["wall_s"],
-        "batched_events_per_s": round(
-            len(trace) / batched["wall_s"] if batched["wall_s"] > 0 else 0.0,
-            2,
-        ),
-        "streamed_events_per_s": round(
-            len(trace) / streamed["wall_s"]
-            if streamed["wall_s"] > 0 else 0.0,
-            2,
-        ),
-        "batched_max_rss_mb": batched["max_rss_mb"],
-        "streamed_max_rss_mb": streamed["max_rss_mb"],
-        "speedup": round(speedup, 3),
-        "identical": identical,
-    }
-
-
 def multicore_point(scale: float = None,
                     configs=((1, 1), (2, 2), (4, 4))) -> dict:
-    """Shards×workers sweep, both engines, each in a fresh subprocess.
+    """Shards×workers sweep, each configuration in a fresh subprocess.
 
     One point with a ``sweep`` row per ``(shards, workers)`` pair; the
-    report SHA-256 must be identical across every engine and
-    configuration — the sweep doubles as the shard/worker-invariance
-    check at benchmark scale.
+    report SHA-256 must be identical across every configuration — the
+    sweep doubles as the shard/worker-invariance check at benchmark
+    scale.
     """
     cores = os.cpu_count() or 1
     rows = []
     hashes = set()
     events = None
     for shards, workers in configs:
-        batched = engine_subprocess("batched", scale, workers, shards)
-        streamed = engine_subprocess("streamed", scale, workers, shards)
-        hashes.update((batched["report_sha256"], streamed["report_sha256"]))
-        events = streamed["events"]
+        run = replay_subprocess(scale, workers, shards)
+        hashes.add(run["report_sha256"])
+        events = run["events"]
         rows.append({
             "shards": shards,
             "workers": workers,
-            "batched_wall_s": batched["wall_s"],
-            "streamed_wall_s": streamed["wall_s"],
-            "batched_max_rss_mb": batched["max_rss_mb"],
-            "streamed_max_rss_mb": streamed["max_rss_mb"],
+            "wall_s": run["wall_s"],
+            "max_rss_mb": run["max_rss_mb"],
         })
     point = {
         "bench": "replay_multicore",
@@ -236,7 +179,7 @@ def multicore_point(scale: float = None,
 
 
 def spill_point(scale: float = None, workers: int = WORKERS) -> dict:
-    """Streamed-engine parent peak RSS: in-memory vs disk-spill sink.
+    """Parent peak RSS of the replay: in-memory vs disk-spill sink.
 
     Both runs are fresh subprocesses over the same skewed trace; the
     reports must be byte-identical (SHA-256 of the canonical
@@ -244,10 +187,8 @@ def spill_point(scale: float = None, workers: int = WORKERS) -> dict:
     must hold parent peak RSS strictly below the in-memory sink's —
     the CI gate that keeps "bounded memory" honest.
     """
-    memory = engine_subprocess("streamed", scale, workers)
-    spill = engine_subprocess(
-        "streamed", scale, workers, record_sink="spill"
-    )
+    memory = replay_subprocess(scale, workers)
+    spill = replay_subprocess(scale, workers, record_sink="spill")
     point = {
         "bench": "replay_spill_rss",
         "events": memory["events"],
@@ -281,25 +222,3 @@ def test_bench_replay_throughput(benchmark):
     else:
         # Single core: no speedup possible; bound the pool overhead.
         assert point["parallel_wall_s"] < point["serial_wall_s"] * 3.0, point
-
-
-def test_bench_replay_skew_stealing(benchmark):
-    point = benchmark.pedantic(skew_point, rounds=1, iterations=1)
-    print("BENCH " + json.dumps(point, sort_keys=True))
-    benchmark.extra_info.update(point)
-
-    # Scheduling must never leak into results, at any core count.
-    assert point["identical"], point
-    # The skew must be real, or the comparison measures nothing: the
-    # busiest static shard carries the hot cell plus strays.
-    assert point["max_cell_events"] * 1.5 < point["max_shard_events"], point
-    cores = point["cpu_count"]
-    if cores >= 4:
-        # The ISSUE acceptance bar: work stealing beats static batching
-        # by >= 1.3x on the skewed trace at 4 workers.
-        assert point["speedup"] >= 1.3, point
-    elif cores >= 2:
-        assert point["speedup"] >= 1.1, point
-    else:
-        # Single core: same work either way; bound scheduling overhead.
-        assert point["streamed_wall_s"] < point["batched_wall_s"] * 1.5, point

@@ -31,11 +31,10 @@ Installed as a ``console_scripts`` entry (``repro``) and runnable as
 ``replay``
     Streaming parallel trace replay (:mod:`repro.parallel`): partition a
     trace into cells by ``--policy`` and replay them across ``--workers``
-    processes — by default through the cell-granular work-stealing
-    scheduler with an online merge (``--stream``); ``--no-stream`` falls
-    back to the static hash-batched engine (``--shards`` batches).  The
-    merged report is bit-identical at any shard/worker/scheduling
-    setting (``docs/scaling.md``); wall-clock and peak-RSS facts print
+    processes through the cell-granular work-stealing scheduler with an
+    online merge (``--shards`` is the ``--workers`` default).  The
+    merged report is bit-identical at any shard/worker setting
+    (``docs/scaling.md``); wall-clock and peak-RSS facts print
     separately under ``parallel``.
     ``--tenant-config`` makes the replay heterogeneous: each tenant's
     cell runs under its own profile — system, placement, cluster, and
@@ -473,7 +472,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
     result = run_parallel_replay(
         trace, spec, shards=args.shards, workers=args.workers, policy=policy,
-        stream=args.stream, retry=retry, fault_plan=fault_plan,
+        retry=retry, fault_plan=fault_plan,
         on_cell_failure=args.on_cell_failure, metrics=metrics,
     )
     if metrics is not None:
@@ -486,14 +485,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
     payload = result.to_dict()
     payload["trace"] = args.trace
     # Scheduling facts live outside the deterministic report body: the
-    # merged results above are identical at any --shards/--workers and
-    # with or without --stream.
+    # merged results above are identical at any --shards/--workers.
     payload["parallel"] = {
         "policy": result.policy_name,
         "cells": result.cell_count,
         "shards": result.shards,
         "workers": result.workers,
-        "stream": result.streamed,
         "wall_s": result.wall_s,
         "events_per_s": result.events_per_s(),
         "max_rss_mb": result.rss_mb,
@@ -522,7 +519,6 @@ def _replay_report_table(report: dict) -> str:
             ["cells", parallel["cells"]],
             ["shards", parallel["shards"]],
             ["workers", parallel["workers"]],
-            ["stream", parallel["stream"]],
             ["wall_s", parallel["wall_s"]],
             ["events_per_s", parallel["events_per_s"]],
             ["max_rss_mb", parallel["max_rss_mb"]],
@@ -789,15 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-tenant system/placement/limit overrides "
                         "(JSON or YAML-lite, see docs/tenancy.md)")
     replay.add_argument("--shards", type=int, default=1,
-                        help="cell batches for --no-stream; also the "
-                        "--workers default (default: 1, serial)")
+                        help="default for --workers (default: 1, serial)")
     replay.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: min(shards, cores))")
-    replay.add_argument("--stream", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="cell-granular work-stealing scheduler with "
-                        "online merge (default); --no-stream uses the "
-                        "static hash-batched engine")
     replay.add_argument("--spill-dir", default=None, metavar="PATH",
                         help="spill merged records to sorted run files "
                         "under this directory instead of holding them in "

@@ -14,11 +14,8 @@ metrics into one online, deterministic merge
 from .engine import (
     CellResult,
     ParallelReplayResult,
-    ShardResult,
     StreamingMerge,
     max_rss_mb,
-    merge_shard_results,
-    partition_trace,
     replay_cell,
     run_parallel_replay,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "ResolvedProfile",
     "RetryPolicy",
     "ShardPolicy",
-    "ShardResult",
     "StreamingMerge",
     "TenantConfig",
     "TenantProfile",
@@ -74,8 +70,6 @@ __all__ = [
     "classify_failure",
     "get_shard_policy",
     "max_rss_mb",
-    "merge_shard_results",
-    "partition_trace",
     "replay_cell",
     "run_parallel_replay",
     "shard_policy_names",

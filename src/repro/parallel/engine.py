@@ -5,27 +5,26 @@ The pipeline:
 1. A :class:`~repro.parallel.policy.ShardPolicy` splits the trace into
    *cells* — independent sub-traces that never interact (per tenant by
    default).  The cell partition depends only on trace + policy.
-2. The **streaming engine** (default) submits cells individually to a
-   ``ProcessPoolExecutor`` via ``submit()``, costliest cell first,
-   through a sliding window of ``2 * workers`` outstanding tasks, and
-   consumes :class:`CellResult`\\ s as they complete.  Workers pull the
-   next cell the moment they finish one — fast workers steal the
-   remaining queue instead of idling behind a skewed tenant, so the
-   makespan approaches LPT-optimal regardless of how skewed the cells
-   are.  Each result folds into an online :class:`StreamingMerge` as it
+2. The replay submits cells individually to a ``ProcessPoolExecutor``
+   via ``submit()``, costliest cell first, through a sliding window of
+   ``2 * workers`` outstanding tasks, and consumes
+   :class:`CellResult`\\ s as they complete.  Workers pull the next
+   cell the moment they finish one — fast workers steal the remaining
+   queue instead of idling behind a skewed tenant, so the makespan
+   approaches LPT-optimal regardless of how skewed the cells are.  At
+   one worker (or one cell) the same cells replay in-process instead,
+   in key order.
+3. Each result folds into an online :class:`StreamingMerge` as it
    arrives and is then dropped, so peak memory is bounded by the final
-   merged report plus the window's worth of in-flight cells — never by
-   whole-shard pickles.
-3. The **batched engine** (``stream=False``, the pre-streaming
-   behavior) packs cells into ``shards`` batches by a stable hash of
-   the cell key (:func:`partition_trace`) and replays each batch back
-   to back in one worker task.  It survives as the measured baseline
-   work-stealing is benchmarked against.
-4. Both paths fold through the same :class:`StreamingMerge`, which
+   merged report plus the window's worth of in-flight cells.  The merge
    accepts cells in *any* arrival order and canonicalizes at
    :meth:`~StreamingMerge.finalize`: per-cell summaries fold in
    sorted-cell-key order (so even float-summation order is
    deterministic) and records sort by ``(submit_time, request_id)``.
+4. One fold driver serves both the local replay
+   (:func:`run_parallel_replay`) and the remote fleet
+   (:func:`fold_remote_cells`); the two differ only in how cells
+   execute.
 
 A worker rebuilds a fresh simulated world per cell from the picklable
 :class:`~repro.parallel.spec.ReplaySpec` — under the cell tenant's
@@ -37,20 +36,19 @@ events.
 
 Because cells, seeds, and the canonical merge order are all independent
 of shard count, worker count, and completion order, the merged report
-is bit-identical across ``--shards``/``--workers``/``--stream``
-settings — parallelism and scheduling never change results, only
-wall-clock time and memory.
+is bit-identical across ``--shards``/``--workers`` settings —
+parallelism and scheduling never change results, only wall-clock time
+and memory.
 
 **Resilience** (see :mod:`repro.parallel.resilience` and
 ``docs/robustness.md``): every cell attempt is byte-identical to every
 other attempt of the same cell — ``cell_seed`` is a pure function of
 (spec, cell) — so failed attempts are simply re-derived and re-run.
-Both engines survive worker death: a ``BrokenProcessPool`` is caught,
-the pool is rebuilt, and the in-flight cells (streamed) or shard
-payloads (batched) are resubmitted at the next attempt number.  Cells
-retry per a deterministic :class:`~repro.parallel.resilience.\
-RetryPolicy` (seeded-jitter backoff, optional per-attempt ``SIGALRM``
-deadline); a cell that exhausts its attempts either aborts the run
+The pool survives worker death: a ``BrokenProcessPool`` is caught,
+the pool is rebuilt, and the in-flight cells are resubmitted at the
+next attempt number.  Cells retry per a deterministic
+:class:`~repro.parallel.resilience.RetryPolicy` (seeded-jitter
+backoff, optional per-attempt ``SIGALRM`` deadline); a cell that exhausts its attempts either aborts the run
 (``on_cell_failure="fail"``, the default — a
 :class:`~repro.parallel.resilience.CellFailedError`) or degrades it
 (``"skip"`` — the merged report gains a deterministic
@@ -70,7 +68,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from itertools import islice
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -78,7 +75,7 @@ from ..loadgen.trace import InvocationTrace, TraceRunResult, run_trace
 from ..metrics.latency import LatencySummary, RequestRecord
 from ..metrics.telemetry import MetricsRegistry
 from ..metrics.usage import UsageSummary
-from .policy import ShardPolicy, get_shard_policy, stable_hash
+from .policy import ShardPolicy, get_shard_policy
 from .resilience import (
     CellFailedError,
     CellFailure,
@@ -98,12 +95,9 @@ from .spec import ReplaySpec
 __all__ = [
     "CellResult",
     "ParallelReplayResult",
-    "ShardResult",
     "StreamingMerge",
     "fold_remote_cells",
     "max_rss_mb",
-    "merge_shard_results",
-    "partition_trace",
     "replay_cell",
     "run_parallel_replay",
 ]
@@ -187,20 +181,6 @@ class CellResult:
 
 
 @dataclass
-class ShardResult:
-    """Everything one shard (= one batched worker task) produced."""
-
-    index: int
-    cells: List[CellResult]
-    wall_s: float
-    #: Cells that exhausted their retry budget inside the worker
-    #: (``on_cell_failure="skip"`` only — ``"fail"`` raises instead).
-    failures: List[CellFailure] = field(default_factory=list)
-    #: In-worker retry attempts consumed beyond each cell's first.
-    retries: int = 0
-
-
-@dataclass
 class ParallelReplayResult(TraceRunResult):
     """A merged :class:`TraceRunResult` plus replay-engine bookkeeping.
 
@@ -209,8 +189,8 @@ class ParallelReplayResult(TraceRunResult):
     counts, scheduling mode, or wall-clock times, so two runs of the
     same trace at different parallelism produce byte-identical reports.
     The scheduling facts live on the object (:attr:`shards`,
-    :attr:`workers`, :attr:`streamed`, :attr:`wall_s`, :attr:`rss_mb`,
-    per-cell :attr:`cell_wall_s`) for benchmarks and the CLI to surface
+    :attr:`workers`, :attr:`wall_s`, :attr:`rss_mb`, per-cell
+    :attr:`cell_wall_s`) for benchmarks and the CLI to surface
     separately.
     """
 
@@ -218,9 +198,6 @@ class ParallelReplayResult(TraceRunResult):
     cell_count: int = 0
     shards: int = 1
     workers: int = 1
-    #: Whether the streaming work-stealing scheduler ran (vs the static
-    #: hash-batched baseline).  Scheduling detail only — never reported.
-    streamed: bool = True
     wall_s: float = 0.0
     #: Parent-process peak RSS after the run, MB — where merge/pickle
     #: memory lives (a high-water mark including everything the host
@@ -302,9 +279,9 @@ class ParallelReplayResult(TraceRunResult):
 def max_rss_mb() -> float:
     """Peak RSS high-water mark of *this* process, in MB.
 
-    Parent-side only, deliberately: the merge memory — whole-shard
-    pickle buffers versus streamed per-cell results — lives in the
-    parent, while each worker holds one cell world under either engine.
+    Parent-side only, deliberately: the merge memory — the per-cell
+    results in flight and the folded report — lives in the parent,
+    while each worker holds one cell world at a time.
     (``RUSAGE_CHILDREN``'s ``ru_maxrss`` is the max over any single
     reaped child, not a sum, so folding it in would only blur the
     signal.)  ``getrusage`` reports kilobytes on Linux and bytes on
@@ -319,30 +296,6 @@ def max_rss_mb() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
     return peak / scale
-
-
-def partition_trace(
-    trace: InvocationTrace,
-    shards: int,
-    policy: Union[str, ShardPolicy] = "tenant",
-) -> List[List[Cell]]:
-    """Split a trace into ``shards`` batches of policy-defined cells.
-
-    Cells assign to shards by a stable hash of their key, so the same
-    trace + policy + shard count always yields the same batches; some
-    batches may be empty when cells are fewer than shards.  This static
-    assignment is the batched (``stream=False``) engine's unit of work
-    distribution — the streaming engine schedules cells individually
-    instead.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if isinstance(policy, str):
-        policy = get_shard_policy(policy)
-    batches: List[List[Cell]] = [[] for _ in range(shards)]
-    for key, cell_trace in policy.split(trace):
-        batches[stable_hash(f"shard-of:{key}") % shards].append((key, cell_trace))
-    return batches
 
 
 def replay_cell(spec: ReplaySpec, key: str, cell_trace: InvocationTrace) -> CellResult:
@@ -422,59 +375,6 @@ def _replay_cell_task(
         return replay_cell(spec, key, cell_trace)
 
 
-def _replay_shard(
-    payload: Tuple[
-        ReplaySpec, int, List[Cell], int, RetryPolicy,
-        Optional[HostFaultPlan], str,
-    ],
-) -> ShardResult:
-    """Batched worker entry point: replay one shard's cells back to back.
-
-    Retries happen *inside* the worker (an app-level failure costs one
-    cell re-run, not a shard resubmission); only worker death escalates
-    to the parent, which resubmits the whole payload at
-    ``attempt_base + 1`` — the completed cells died with the worker, and
-    re-running them is byte-identical anyway.
-    """
-    spec, index, cells, attempt_base, retry, faults, on_cell_failure = payload
-    start = time.perf_counter()
-    results: List[CellResult] = []
-    failures: List[CellFailure] = []
-    retries = 0
-    for key, cell_trace in cells:
-        attempt = attempt_base
-        while True:
-            try:
-                results.append(
-                    _replay_cell_task(
-                        spec, key, cell_trace, attempt, retry, faults
-                    )
-                )
-                break
-            except Exception as exc:
-                if attempt < retry.max_attempts:
-                    attempt += 1
-                    retries += 1
-                    continue
-                failure = CellFailure(
-                    key=key,
-                    kind=classify_failure(exc),
-                    attempts=attempt,
-                    message=_failure_message(exc),
-                )
-                if on_cell_failure == "fail":
-                    raise CellFailedError(failure) from exc
-                failures.append(failure)
-                break
-    return ShardResult(
-        index=index,
-        cells=results,
-        wall_s=time.perf_counter() - start,
-        failures=failures,
-        retries=retries,
-    )
-
-
 @dataclass
 class _CellFold:
     """The bounded-size residue one folded cell leaves behind: every
@@ -504,12 +404,11 @@ class StreamingMerge:
     independent of scheduling — and the sink k-way merges its per-cell
     sorted runs by the globally unique ``(submit_time, request_id)``
     key, releasing each run as it drains.  The result is byte-identical
-    to the legacy whole-batch merge at every shard/worker/steal order,
-    under either sink.
+    at every worker count and steal order, under either sink.
 
     Memory stays bounded by the sink's policy: the in-memory sink by
     the final merged report, the spilling sink by its record threshold
-    — never by whole-shard pickles or a second sort buffer.
+    — never by a second sort buffer.
     """
 
     def __init__(
@@ -593,24 +492,6 @@ class StreamingMerge:
         )
 
 
-def merge_shard_results(
-    shard_results: List[ShardResult],
-    trace: InvocationTrace,
-    spec: ReplaySpec,
-) -> ParallelReplayResult:
-    """Fold per-shard cell results into one deterministic merged report.
-
-    A thin wrapper over :class:`StreamingMerge` — the batched and
-    streaming engines share one canonical merge, which is what makes
-    their reports byte-identical by construction.
-    """
-    merge = StreamingMerge(trace, spec)
-    for shard in shard_results:
-        for cell in shard.cells:
-            merge.add(cell)
-    return merge.finalize()
-
-
 def _validate(trace: InvocationTrace, spec: ReplaySpec, policy: ShardPolicy) -> None:
     if spec.has_profiles and policy.name != "tenant":
         # Profiles key on tenant cells.  Under other partitions the same
@@ -675,21 +556,97 @@ def _frozen_gc():
         gc.unfreeze()
 
 
-#: One streamed task: ``(cell key, sub-trace, attempt number)``.
+
+
+#: One cell attempt: ``(cell key, sub-trace, attempt number)``.
 _CellTask = Tuple[str, InvocationTrace, int]
 
+#: The terminal-failure path :func:`_fold_cells` hands its executor:
+#: ``fail(failure, cause)`` raises or records one exhausted cell.
+_Fail = Callable[[CellFailure, Optional[BaseException]], None]
 
-def _stream_cells(
+#: How one fold's cells run: ``execute(pending, policy, fold, fail)``
+#: replays (or receives) every pending cell, handing each result to
+#: ``fold`` and each exhausted cell to ``fail``.
+_Execute = Callable[
+    [List[Cell], ShardPolicy, Callable[[CellResult], None], _Fail], None
+]
+
+
+def _retry(
+    task: _CellTask,
+    exc: BaseException,
+    retry: RetryPolicy,
+    fail: _Fail,
+    metrics: Optional[MetricsRegistry],
+) -> Optional[_CellTask]:
+    """The one retry decision for a failed local cell attempt.
+
+    Returns the cell's next attempt while its budget lasts.  Once the
+    budget is spent, ``exc`` becomes the cell's :class:`~repro.parallel.\
+resilience.CellFailure`, goes to ``fail``, and ``None`` comes back.
+    """
+    key, cell_trace, attempt = task
+    if attempt < retry.max_attempts:
+        if metrics is not None:
+            metrics.counter("repro_cell_retries_total").inc()
+        return key, cell_trace, attempt + 1
+    fail(
+        CellFailure(
+            key=key,
+            kind=classify_failure(exc),
+            attempts=attempt,
+            message=_failure_message(exc),
+        ),
+        exc,
+    )
+    return None
+
+
+def _serial_cells(
+    cells: List[Cell],
+    spec: ReplaySpec,
+    fold: Callable[[CellResult], None],
+    fail: _Fail,
+    retry: RetryPolicy,
+    fault_plan: Optional[HostFaultPlan],
+    metrics: Optional[MetricsRegistry],
+) -> None:
+    """The in-process serial loop: cells in key order, each retried in
+    place until it folds or its budget is spent.
+
+    Kill faults raise :class:`~repro.parallel.resilience.\
+WorkerCrashError` here instead of SIGKILLing (the plan's parent-pid
+    guard), so single-worker replays exercise the same classify → retry
+    → degrade path the pool does — and the crash-identity property
+    holds at ``workers=1``.
+    """
+    for key, cell_trace in cells:
+        task: Optional[_CellTask] = (key, cell_trace, 1)
+        while task is not None:
+            try:
+                result = _replay_cell_task(spec, *task, retry, fault_plan)
+            except Exception as exc:
+                if metrics is not None and (
+                    classify_failure(exc) == "worker-crash"
+                ):
+                    metrics.counter("repro_worker_crashes_total").inc()
+                task = _retry(task, exc, retry, fail, metrics)
+                continue
+            fold(result)
+            break
+
+
+def _pool_cells(
     cells: List[Cell],
     spec: ReplaySpec,
     workers: int,
-    fold: Callable[[CellResult], None],
     policy: ShardPolicy,
+    fold: Callable[[CellResult], None],
+    fail: _Fail,
     retry: RetryPolicy,
     fault_plan: Optional[HostFaultPlan],
-    on_cell_failure: str,
-    failures: List[CellFailure],
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[MetricsRegistry],
 ) -> None:
     """Work-stealing fan-out: one task per cell, folded as completed.
 
@@ -708,9 +665,8 @@ def _stream_cells(
     future→task map, the dead pool is replaced, and the tasks requeue at
     their next attempt number — results that completed before the crash
     have already folded, and re-running the rest is byte-identical.
-    Other exceptions charge only their own cell, which retries per
-    ``retry`` until its budget runs out and then fails the run
-    (``on_cell_failure="fail"``) or lands in ``failures`` (``"skip"``).
+    Other exceptions charge only their own cell.  Either way the charge
+    goes through :func:`_retry`, the serial loop's retry decision.
     """
     ordered = sorted(
         cells, key=lambda cell: (-policy.cell_cost(cell[1]), cell[0])
@@ -723,22 +679,10 @@ def _stream_cells(
     submitted = 0
     max_workers = min(workers, len(ordered))
 
-    def handle_failure(task: _CellTask, exc: BaseException) -> None:
-        key, cell_trace, attempt = task
-        if attempt < retry.max_attempts:
-            todo.append((key, cell_trace, attempt + 1))
-            if metrics is not None:
-                metrics.counter("repro_cell_retries_total").inc()
-            return
-        failure = CellFailure(
-            key=key,
-            kind=classify_failure(exc),
-            attempts=attempt,
-            message=_failure_message(exc),
-        )
-        if on_cell_failure == "fail":
-            raise CellFailedError(failure) from exc
-        failures.append(failure)
+    def charge(task: _CellTask, exc: BaseException) -> None:
+        task = _retry(task, exc, retry, fail, metrics)
+        if task is not None:
+            todo.append(task)
 
     with _frozen_gc():
         pool = ProcessPoolExecutor(max_workers=max_workers)
@@ -747,11 +691,10 @@ def _stream_cells(
             while todo or inflight:
                 while todo and len(inflight) < window:
                     task = todo.popleft()
-                    key, cell_trace, attempt = task
                     try:
                         future = pool.submit(
                             _replay_cell_task,
-                            spec, key, cell_trace, attempt, retry, fault_plan,
+                            spec, *task, retry, fault_plan,
                         )
                     except BrokenProcessPool:
                         # The pool died between completions.  Requeue the
@@ -793,7 +736,7 @@ def _stream_cells(
                         broken = exc
                         crashed.append(task)
                     else:
-                        handle_failure(task, exc)
+                        charge(task, exc)
                 if broken is not None:
                     crashed.extend(inflight.values())
                     inflight.clear()
@@ -802,143 +745,101 @@ def _stream_cells(
                     pool.shutdown(wait=True)
                     pool = ProcessPoolExecutor(max_workers=max_workers)
                     for task in crashed:
-                        handle_failure(task, broken)
+                        charge(task, broken)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _serial_stream(
-    cells: List[Cell],
+def _fold_cells(
+    trace: InvocationTrace,
     spec: ReplaySpec,
-    fold: Callable[[CellResult], None],
-    retry: RetryPolicy,
-    fault_plan: Optional[HostFaultPlan],
+    policy: Union[str, ShardPolicy],
+    execute: _Execute,
+    on_cell: Optional[Callable[[CellResult], None]],
+    completed_cells: Optional[Iterable[CellResult]],
+    metrics: Optional[MetricsRegistry],
     on_cell_failure: str,
-    failures: List[CellFailure],
-    metrics: Optional[MetricsRegistry] = None,
-) -> None:
-    """The in-process serial fold, with full retry/failure semantics.
+) -> ParallelReplayResult:
+    """The one fold driver behind every replay.
 
-    Kill faults raise :class:`~repro.parallel.resilience.\
-WorkerCrashError` here instead of SIGKILLing (the plan's parent-pid
-    guard), so single-worker replays exercise the same classify → retry
-    → degrade path the pooled engines do — and the crash-identity
-    property holds at ``workers=1``.
+    Resolves and validates the run, folds ``completed_cells`` first,
+    then lets ``execute`` run the cells still pending.  Every result
+    goes through one ``fold`` (merge, metrics, ``on_cell``); every
+    exhausted cell goes through one ``fail`` (raise
+    :class:`~repro.parallel.resilience.CellFailedError` or record it).
+    The driver times the ``prepare``/``execute``/``finalize`` phases and
+    closes the record sink if anything raises.
     """
-    for key, cell_trace in cells:
-        attempt = 1
-        while True:
-            try:
-                fold(
-                    _replay_cell_task(
-                        spec, key, cell_trace, attempt, retry, fault_plan
-                    )
-                )
-                break
-            except Exception as exc:
-                if metrics is not None and (
-                    classify_failure(exc) == "worker-crash"
-                ):
-                    metrics.counter("repro_worker_crashes_total").inc()
-                if attempt < retry.max_attempts:
-                    attempt += 1
-                    if metrics is not None:
-                        metrics.counter("repro_cell_retries_total").inc()
-                    continue
-                failure = CellFailure(
-                    key=key,
-                    kind=classify_failure(exc),
-                    attempts=attempt,
-                    message=_failure_message(exc),
-                )
-                if on_cell_failure == "fail":
-                    raise CellFailedError(failure) from exc
-                failures.append(failure)
-                break
+    t_prepare = time.perf_counter()
+    if isinstance(policy, str):
+        policy = get_shard_policy(policy)
+    _validate(trace, spec, policy)
+    if on_cell_failure not in ON_CELL_FAILURE_MODES:
+        raise ValueError(
+            f"on_cell_failure must be one of {list(ON_CELL_FAILURE_MODES)}, "
+            f"got {on_cell_failure!r}"
+        )
+    failures: List[CellFailure] = []
+    merge = StreamingMerge(trace, spec)
 
+    def fold(cell: CellResult) -> None:
+        merge.add(cell)
+        if metrics is not None:
+            observe_cell_metrics(metrics, cell)
+        if on_cell is not None:
+            on_cell(cell)
 
-def _run_shards(
-    payloads: List[tuple],
-    workers: int,
-    fold_shard: Callable[[ShardResult], None],
-    retry: RetryPolicy,
-    on_cell_failure: str,
-    failures: List[CellFailure],
-    metrics: Optional[MetricsRegistry] = None,
-) -> None:
-    """Batched fan-out that survives worker death.
-
-    Cell-level retries live inside :func:`_replay_shard`; this loop
-    handles only the failure mode workers cannot handle themselves —
-    their own death.  A ``BrokenProcessPool`` resubmits every in-flight
-    shard payload at ``attempt_base + 1`` on a fresh pool (completed
-    shards already folded; the dead ones' partial work is re-derived
-    byte-identically).  A shard whose attempt base passes the retry
-    budget converts wholesale into worker-crash cell failures.
-    """
-    max_workers = min(workers, len(payloads))
-
-    def exhaust(payload: tuple, exc: BaseException) -> None:
-        _spec, _index, cells, attempt_base, *_ = payload
-        shard_failures = [
-            CellFailure(
-                key=key,
-                kind="worker-crash",
-                attempts=attempt_base,
-                message=_failure_message(exc),
-            )
-            for key, _cell_trace in cells
-        ]
+    def fail(
+        failure: CellFailure, cause: Optional[BaseException] = None
+    ) -> None:
         if on_cell_failure == "fail":
-            raise CellFailedError(shard_failures[0]) from exc
-        failures.extend(shard_failures)
+            raise CellFailedError(failure) from cause
+        failures.append(failure)
 
-    with _frozen_gc():
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        inflight: Dict[object, tuple] = {}
-        try:
-            for payload in payloads:
-                inflight[pool.submit(_replay_shard, payload)] = payload
-            while inflight:
-                done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-                crashed: List[tuple] = []
-                broken: Optional[BaseException] = None
-                for future in done:
-                    payload = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        fold_shard(future.result())
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = exc
-                        crashed.append(payload)
-                    else:
-                        # CellFailedError from a worker's "fail" mode,
-                        # or an unexpected host error — both abort.
-                        raise exc
-                if broken is not None:
-                    crashed.extend(inflight.values())
-                    inflight.clear()
-                    if metrics is not None:
-                        metrics.counter("repro_worker_crashes_total").inc()
-                    pool.shutdown(wait=True)
-                    pool = ProcessPoolExecutor(max_workers=max_workers)
-                    for payload in crashed:
-                        spec, index, cells, attempt_base, *rest = payload
-                        if attempt_base < retry.max_attempts:
-                            resubmit = (
-                                spec, index, cells, attempt_base + 1, *rest
-                            )
-                            inflight[
-                                pool.submit(_replay_shard, resubmit)
-                            ] = resubmit
-                            if metrics is not None:
-                                metrics.counter(
-                                    "repro_cell_retries_total"
-                                ).inc(len(cells))
-                        else:
-                            exhaust(payload, broken)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+    try:
+        cells = policy.split(trace)
+        done: set = set()
+        for cell in completed_cells or ():
+            merge.add(cell)  # a duplicate key raises here
+            done.add(cell.key)
+            if metrics is not None:
+                observe_cell_metrics(metrics, cell, resumed=True)
+        unknown = sorted(done - {key for key, _ in cells})
+        if unknown:
+            raise ValueError(
+                f"completed cells {unknown} are not cells of this "
+                f"trace under the {policy.name!r} policy"
+            )
+        pending = [cell for cell in cells if cell[0] not in done]
+        start = time.perf_counter()
+        execute(pending, policy, fold, fail)
+        t_finalize = time.perf_counter()
+        merged = merge.finalize()
+    except BaseException:
+        # The sink may hold scratch state (the spilling sink's NDJSON
+        # run files); a failed replay must not leak it — retries and
+        # subsequent runs would accumulate orphan runs otherwise.
+        merge.sink.close()
+        raise
+    merged.failed_cells = sorted(failures, key=lambda failure: failure.key)
+    merged.policy_name = policy.name
+    merged.wall_s = t_finalize - start
+    merged.phase_wall_s = {
+        "prepare": start - t_prepare,
+        "execute": merged.wall_s,
+        "finalize": time.perf_counter() - t_finalize,
+    }
+    if metrics is not None:
+        for phase, seconds in merged.phase_wall_s.items():
+            metrics.histogram("repro_run_phase_seconds", phase=phase).observe(
+                seconds
+            )
+        if merge.sink.spilled_records:
+            metrics.counter("repro_records_spilled_total").inc(
+                merge.sink.spilled_records
+            )
+    merged.rss_mb = max_rss_mb()
+    return merged
 
 
 def run_parallel_replay(
@@ -947,7 +848,6 @@ def run_parallel_replay(
     shards: int = 1,
     workers: Optional[int] = None,
     policy: Union[str, ShardPolicy] = "tenant",
-    stream: bool = True,
     on_cell: Optional[Callable[[CellResult], None]] = None,
     completed_cells: Optional[Iterable[CellResult]] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -957,16 +857,13 @@ def run_parallel_replay(
 ) -> ParallelReplayResult:
     """Replay a trace across worker processes and merge the results.
 
-    ``stream=True`` (the default) runs the cell-granular work-stealing
-    scheduler: ``workers`` processes (default ``min(shards,
-    cpu_count)``) pull cells from a longest-first queue and results fold
-    into the merge as they complete, in whatever order they finish.
-    ``stream=False`` runs the legacy static engine: cells pack into
-    ``shards`` hash-assigned batches, each replayed whole by one worker
-    task.  The merged report depends only on ``(trace, spec, policy)``
-    — never on ``shards``, ``workers``, ``stream``, or completion
-    order.  At one worker (or one cell) both modes degrade to the same
-    in-process serial fold.
+    ``workers`` processes (default ``min(shards, cpu_count)``) pull
+    cells from a longest-first queue, and results fold into the merge as
+    they complete, in whatever order they finish.  At one worker (or
+    one cell) the replay runs in-process, cell by cell.  ``shards``
+    only supplies the ``workers`` default.  The merged report depends
+    only on ``(trace, spec, policy)`` — never on ``shards``,
+    ``workers``, or completion order.
 
     ``on_cell`` is an observation hook: it runs in the parent process
     with each :class:`CellResult` immediately after that cell folds
@@ -1005,128 +902,33 @@ phase_wall_s`).  Telemetry never feeds back into the replay, so the
     None of the three perturbs cell seeds or merge order, so a run that
     recovers from every fault stays byte-identical to a fault-free run.
     """
-    t_prepare = time.perf_counter()
-    if isinstance(policy, str):
-        policy = get_shard_policy(policy)
-    _validate(trace, spec, policy)
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
     if workers is None:
         workers = min(shards, os.cpu_count() or 1)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if on_cell_failure not in ON_CELL_FAILURE_MODES:
-        raise ValueError(
-            f"on_cell_failure must be one of {list(ON_CELL_FAILURE_MODES)}, "
-            f"got {on_cell_failure!r}"
-        )
     if retry is None:
         retry = RetryPolicy()
     retry.validate()
     if fault_plan is not None:
         fault_plan.validate()
-    failures: List[CellFailure] = []
-    merge = StreamingMerge(trace, spec)
-    skip: set = set()
-    if completed_cells is not None:
-        for cell in completed_cells:
-            merge.add(cell)  # a duplicate key raises here
-            skip.add(cell.key)
-            if metrics is not None:
-                observe_cell_metrics(metrics, cell, resumed=True)
-        if skip:
-            known = {key for key, _ in policy.split(trace)}
-            unknown = sorted(skip - known)
-            if unknown:
-                raise ValueError(
-                    f"completed cells {unknown} are not cells of this "
-                    f"trace under the {policy.name!r} policy"
-                )
 
-    def fold(cell: CellResult) -> None:
-        merge.add(cell)
-        if metrics is not None:
-            observe_cell_metrics(metrics, cell)
-        if on_cell is not None:
-            on_cell(cell)
-
-    def fold_shard(shard: ShardResult) -> None:
-        for cell in shard.cells:
-            fold(cell)
-        failures.extend(shard.failures)
-        if metrics is not None and shard.retries:
-            metrics.counter("repro_cell_retries_total").inc(shard.retries)
-
-    start = time.perf_counter()
-    prepare_s = start - t_prepare
-    try:
-        if stream:
-            cells = [
-                cell for cell in policy.split(trace) if cell[0] not in skip
-            ]
-            if workers == 1 or len(cells) <= 1:
-                # In-process serial fold with the same retry semantics;
-                # kill faults degrade to WorkerCrashError here (the
-                # fault plan never SIGKILLs its own parent process).
-                _serial_stream(
-                    cells, spec, fold, retry, fault_plan,
-                    on_cell_failure, failures, metrics,
-                )
-            else:
-                _stream_cells(
-                    cells, spec, workers, fold, policy,
-                    retry, fault_plan, on_cell_failure, failures,
-                    metrics=metrics,
-                )
+    def execute(cells, policy, fold, fail) -> None:
+        if workers == 1 or len(cells) <= 1:
+            _serial_cells(cells, spec, fold, fail, retry, fault_plan, metrics)
         else:
-            batches = [
-                [cell for cell in batch if cell[0] not in skip]
-                for batch in partition_trace(trace, shards, policy)
-            ]
-            payloads = [
-                (spec, index, cells, 1, retry, fault_plan, on_cell_failure)
-                for index, cells in enumerate(batches)
-                if cells
-            ]
-            if workers == 1 or len(payloads) <= 1:
-                for payload in payloads:
-                    fold_shard(_replay_shard(payload))
-            else:
-                _run_shards(
-                    payloads, workers, fold_shard, retry,
-                    on_cell_failure, failures, metrics,
-                )
-        wall_s = time.perf_counter() - start
-        t_finalize = time.perf_counter()
-        merged = merge.finalize()
-    except BaseException:
-        # The sink may hold scratch state (the spilling sink's NDJSON
-        # run files); a failed replay must not leak it — retries and
-        # subsequent runs would accumulate orphan runs otherwise.
-        merge.sink.close()
-        raise
-    merged.failed_cells = sorted(failures, key=lambda failure: failure.key)
-    finalize_s = time.perf_counter() - t_finalize
-    merged.policy_name = policy.name
+            _pool_cells(
+                cells, spec, workers, policy, fold, fail,
+                retry, fault_plan, metrics,
+            )
+
+    merged = _fold_cells(
+        trace, spec, policy, execute,
+        on_cell, completed_cells, metrics, on_cell_failure,
+    )
     merged.shards = shards
     merged.workers = workers
-    merged.streamed = stream
-    merged.wall_s = wall_s
-    merged.phase_wall_s = {
-        "prepare": prepare_s,
-        "execute": wall_s,
-        "finalize": finalize_s,
-    }
-    if metrics is not None:
-        for phase, seconds in merged.phase_wall_s.items():
-            metrics.histogram("repro_run_phase_seconds", phase=phase).observe(
-                seconds
-            )
-        if merge.sink.spilled_records:
-            metrics.counter("repro_records_spilled_total").inc(
-                merge.sink.spilled_records
-            )
-    merged.rss_mb = max_rss_mb()
     return merged
 
 
@@ -1147,10 +949,10 @@ def fold_remote_cells(
     control plane consumes their outcomes — :class:`CellResult` payloads
     delivered over HTTP, or :class:`~repro.parallel.resilience.\
 CellFailure` records for cells whose retry budget ran out — from the
-    blocking ``outcomes`` iterable.  Everything folds through the exact
-    :class:`StreamingMerge` the local engines use, so a fleet replay is
-    byte-identical to ``run_parallel_replay`` of the same (trace, spec,
-    policy) regardless of worker count, lease order, or worker death.
+    blocking ``outcomes`` iterable.  Everything goes through the fold
+    driver the local replay uses, so a fleet replay is byte-identical
+    to ``run_parallel_replay`` of the same (trace, spec, policy)
+    regardless of worker count, lease order, or worker death.
 
     ``on_cell``, ``completed_cells`` (journal resume), ``metrics``, and
     ``on_cell_failure`` carry the semantics of
@@ -1160,72 +962,15 @@ CellFailure` records for cells whose retry budget ran out — from the
 resilience.CellFailedError`) or lands in the report's ``failed_cells``
     section (``"skip"``).
     """
-    t_prepare = time.perf_counter()
-    if isinstance(policy, str):
-        policy = get_shard_policy(policy)
-    _validate(trace, spec, policy)
-    if on_cell_failure not in ON_CELL_FAILURE_MODES:
-        raise ValueError(
-            f"on_cell_failure must be one of {list(ON_CELL_FAILURE_MODES)}, "
-            f"got {on_cell_failure!r}"
-        )
-    failures: List[CellFailure] = []
-    merge = StreamingMerge(trace, spec)
-    skip: set = set()
-    if completed_cells is not None:
-        for cell in completed_cells:
-            merge.add(cell)  # a duplicate key raises here
-            skip.add(cell.key)
-            if metrics is not None:
-                observe_cell_metrics(metrics, cell, resumed=True)
-        if skip:
-            known = {key for key, _ in policy.split(trace)}
-            unknown = sorted(skip - known)
-            if unknown:
-                raise ValueError(
-                    f"completed cells {unknown} are not cells of this "
-                    f"trace under the {policy.name!r} policy"
-                )
-    start = time.perf_counter()
-    prepare_s = start - t_prepare
-    try:
+
+    def execute(_pending, _policy, fold, fail) -> None:
         for outcome in outcomes:
             if isinstance(outcome, CellFailure):
-                if on_cell_failure == "fail":
-                    raise CellFailedError(outcome)
-                failures.append(outcome)
-                continue
-            merge.add(outcome)
-            if metrics is not None:
-                observe_cell_metrics(metrics, outcome)
-            if on_cell is not None:
-                on_cell(outcome)
-        wall_s = time.perf_counter() - start
-        t_finalize = time.perf_counter()
-        merged = merge.finalize()
-    except BaseException:
-        merge.sink.close()
-        raise
-    merged.failed_cells = sorted(failures, key=lambda failure: failure.key)
-    finalize_s = time.perf_counter() - t_finalize
-    merged.policy_name = policy.name
-    merged.shards = 1
-    merged.workers = 1
-    merged.streamed = True
-    merged.wall_s = wall_s
-    merged.phase_wall_s = {
-        "prepare": prepare_s,
-        "execute": wall_s,
-        "finalize": finalize_s,
-    }
-    if metrics is not None:
-        for phase, seconds in merged.phase_wall_s.items():
-            metrics.histogram("repro_run_phase_seconds", phase=phase).observe(
-                seconds
-            )
-        if merge.sink.spilled_records:
-            metrics.counter("repro_records_spilled_total").inc(
-                merge.sink.spilled_records
-            )
-    merged.rss_mb = max_rss_mb()
-    return merged
+                fail(outcome)
+            else:
+                fold(outcome)
+
+    return _fold_cells(
+        trace, spec, policy, execute,
+        on_cell, completed_cells, metrics, on_cell_failure,
+    )

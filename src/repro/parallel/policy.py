@@ -1,16 +1,14 @@
 """Shard policies: how a trace splits into independently simulable cells.
 
 A :class:`ShardPolicy` maps every :class:`~repro.loadgen.trace.TraceEvent`
-to a *cell key*.  A cell is the unit of simulation in the sharded replay
+to a *cell key*.  A cell is the unit of simulation in the replay
 engine: all events sharing a key replay together in one fresh simulated
 world, and different cells never interact.  Crucially the cell partition
 depends only on the trace and the policy — never on how many shards or
 worker processes the run uses — which is what makes the merged report
-bit-identical across ``--shards``/``--workers`` settings.
-
-Shards are merely batches of cells handed to worker processes; the
-stable cell→shard assignment lives in
-:func:`repro.parallel.engine.partition_trace`.
+bit-identical across ``--shards``/``--workers`` settings.  Workers
+pull cells one at a time (:mod:`repro.parallel.engine`), so no
+cell→worker assignment exists to keep stable.
 
 Two built-in policies:
 
@@ -59,7 +57,7 @@ class ShardPolicy:
     def cell_cost(self, cell_trace: InvocationTrace) -> float:
         """Estimated replay cost of one cell, for scheduling only.
 
-        The streaming engine submits cells costliest-first (the LPT
+        The replay submits cells costliest-first (the LPT
         heuristic), so a policy that knows some events are heavier than
         others can override this to improve the makespan.  Scheduling
         order never affects results — only wall-clock time — so the

@@ -182,8 +182,8 @@ class CellFailedError(RuntimeError):
         self.failure = failure
 
     def __reduce__(self):
-        # Raised inside batched workers under ``on_cell_failure="fail"``
-        # — must re-carry the CellFailure across the process boundary.
+        # Re-carry the CellFailure when the error is pickled (e.g. across
+        # a process boundary); the default reduce passes only the text.
         return (type(self), (self.failure,))
 
 

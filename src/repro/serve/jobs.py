@@ -5,7 +5,7 @@ running → done | failed`` (or ``queued → interrupted`` when a clean
 shutdown abandons it).  A fixed pool of daemon *job-worker threads*
 pulls jobs off a FIFO queue and executes each through
 :func:`repro.parallel.engine.run_parallel_replay` — the in-process
-serial fold when the request asked for one worker, the streaming
+serial fold when the request asked for one worker, the
 work-stealing process pool otherwise — so the service adds scheduling
 around the engine, never a second execution path.
 
@@ -963,16 +963,10 @@ class JobStore:
             if request.workers == "remote":
                 result = self._execute_remote(job, request, on_cell)
             else:
-                # shards=workers keeps the static batched engine
-                # (stream=False) actually parallel at the requested
-                # width; the streaming engine ignores shards, and the
-                # merged report is shard-invariant either way.
                 result = run_parallel_replay(
                     request.trace,
                     request.spec,
-                    shards=request.workers,
                     workers=request.workers,
-                    stream=request.stream,
                     on_cell=on_cell,
                     completed_cells=job.preloaded or None,
                     metrics=self.metrics,

@@ -195,7 +195,7 @@ def test_replay_table_report(capsys):
     assert "acme" in out  # per-tenant breakdown survives the merge
 
 
-def test_replay_shard_count_invariant_json(tmp_path, capsys):
+def test_replay_report_is_shard_count_invariant_json(tmp_path, capsys):
     """--shards 4 and --shards 1 print the same merged report."""
     path = tmp_path / "t.json"
     path.write_text(SAMPLE_TRACE)

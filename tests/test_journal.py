@@ -222,6 +222,23 @@ def test_unparseable_journaled_request_fails_cleanly(tmp_path):
     assert load_journal(str(path)).runs["run-000001"].status == "failed"
 
 
+def test_journaled_stream_field_fails_recovery(tmp_path):
+    """A body journaled while requests still took "stream" (the removed
+    batched scheduler's switch) no longer validates on recovery."""
+    path = tmp_path / "journal.jsonl"
+    journal = RunJournal(str(path))
+    journal.record_submit("run-000001", {**RUN_BODY, "stream": True}, {}, 0)
+    journal.close()
+    store = JobStore(workers=1, journal=RunJournal(str(path)))
+    try:
+        snap = store.snapshot("run-000001")
+        assert snap["status"] == "failed"
+        assert "no longer valid" in snap["error"]
+        assert "'stream'" in snap["error"]
+    finally:
+        store.close()
+
+
 # -- close() lifecycle: queued jobs become interrupted ------------------------
 
 

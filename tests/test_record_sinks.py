@@ -3,9 +3,8 @@
 Three guarantee families, mirroring ``src/repro/parallel/sink.py``:
 
 - **Identity**: the merged report and the canonical record sequence are
-  byte-identical across the in-memory sink, the disk-spilling sink, and
-  both engines, at any shard/worker count (hypothesis property over
-  skewed traces).
+  byte-identical across the in-memory sink and the disk-spilling sink,
+  at any shard count (hypothesis property over skewed traces).
 - **Integrity**: a torn or truncated spill run file raises
   :class:`~repro.parallel.sink.SpillError` at finalize — never a
   silently short report.
@@ -92,18 +91,16 @@ def test_record_payload_round_trips_exactly():
 # -- engine-level identity across sinks ---------------------------------------
 
 
-def _report(trace, shards, workers, stream, record_sink=None):
+def _report(trace, shards, workers, record_sink=None):
     spec = ReplaySpec(default_app="wc", seed=11, record_sink=record_sink)
-    return run_parallel_replay(
-        trace, spec, shards=shards, workers=workers, stream=stream
-    )
+    return run_parallel_replay(trace, spec, shards=shards, workers=workers)
 
 
 def test_spill_sink_report_and_records_match_memory(tmp_path):
     trace = _trace(events_per_tenant=5)
-    memory = _report(trace, shards=2, workers=1, stream=True)
+    memory = _report(trace, shards=2, workers=1)
     spill = _report(
-        trace, shards=2, workers=1, stream=True,
+        trace, shards=2, workers=1,
         record_sink=_spill_spec(tmp_path),
     )
     assert render_json(memory.to_dict()) == render_json(spill.to_dict())
@@ -114,7 +111,7 @@ def test_spill_sink_report_and_records_match_memory(tmp_path):
 
 def test_spill_scratch_cleaned_up_on_close(tmp_path):
     spill = _report(
-        trace=_trace(), shards=1, workers=1, stream=True,
+        trace=_trace(), shards=1, workers=1,
         record_sink=_spill_spec(tmp_path, max_records=1),
     )
     assert isinstance(spill.records, SpilledRecords)
@@ -136,7 +133,7 @@ def test_engine_counts_spilled_records(tmp_path):
 
     metrics = MetricsRegistry()
     trace = _trace(events_per_tenant=5)
-    result = _report(trace, shards=1, workers=1, stream=True)
+    result = _report(trace, shards=1, workers=1)
     offered = result.offered
     spec = ReplaySpec(
         default_app="wc", seed=11,
@@ -147,7 +144,7 @@ def test_engine_counts_spilled_records(tmp_path):
     assert 0 < spilled <= offered
 
 
-# -- hypothesis: spill x memory x engines x shards, byte-identical ------------
+# -- hypothesis: spill x memory x shards, byte-identical ----------------------
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -192,9 +189,9 @@ def _skewed(events):
 def test_sinks_and_engines_merge_byte_identical(
     tmp_path_factory, events, seed, threshold
 ):
-    """The tentpole property: spill x memory x batched x streamed over
-    skewed traces at shards 1/2/4 — one canonical report, to the byte,
-    and one canonical record sequence."""
+    """The tentpole property: spill x memory over skewed traces at
+    shards 1/2/4 — one canonical report, to the byte, and one canonical
+    record sequence."""
     trace = InvocationTrace(events=_skewed(events), name="prop-spill")
     spill_dir = str(tmp_path_factory.mktemp("spill"))
     memory_spec = ReplaySpec(default_app="wc", seed=seed)
@@ -205,21 +202,16 @@ def test_sinks_and_engines_merge_byte_identical(
             max_records_in_memory=threshold,
         ),
     )
-    baseline = run_parallel_replay(
-        trace, memory_spec, shards=1, workers=1, stream=False
-    )
+    baseline = run_parallel_replay(trace, memory_spec, shards=1, workers=1)
     canonical = render_json(baseline.to_dict())
     records = list(baseline.records)
     for shards in (1, 2, 4):
         for spec in (memory_spec, spill_spec):
-            for stream in (False, True):
-                result = run_parallel_replay(
-                    trace, spec, shards=shards, workers=1, stream=stream
-                )
-                assert render_json(result.to_dict()) == canonical, (
-                    shards, spec.record_sink, stream,
-                )
-                assert list(result.records) == records
+            result = run_parallel_replay(trace, spec, shards=shards, workers=1)
+            assert render_json(result.to_dict()) == canonical, (
+                shards, spec.record_sink,
+            )
+            assert list(result.records) == records
 
 
 # -- torn-spill fault injection -----------------------------------------------

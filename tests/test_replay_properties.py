@@ -4,7 +4,7 @@ The engine's core guarantee: the merged report is a pure function of
 (trace, spec, policy).  Seeded random traces crossed with random
 tenant-profile maps must merge to byte-identical report dicts at any
 ``--shards``/``--workers`` setting, and per-cell seeds must never depend
-on shard or worker indices.
+on shard or worker indices or on the order cells run in.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.loadgen.trace import InvocationTrace, TraceEvent  # noqa: E402
 from repro.parallel import (  # noqa: E402
     ReplaySpec,
     TenantProfile,
-    partition_trace,
     run_parallel_replay,
 )
 from repro.parallel.policy import TenantShardPolicy  # noqa: E402
@@ -117,9 +116,9 @@ def _skewed_events(draw_events):
 def test_streamed_work_stealing_matches_serial_byte_for_byte(
     events, profile_map, seed
 ):
-    """The tentpole invariant: the streaming work-stealing engine merges
-    byte-identical to the serial path over random skewed traces, across
-    shards 1/2/4 x workers 1/2 — completion/steal order never leaks."""
+    """The work-stealing pool merges byte-identical to the serial path
+    over random skewed traces, across shards 1/2/4 x workers 1/2 —
+    completion/steal order never leaks."""
     from repro.metrics.report import render_json
 
     trace = InvocationTrace(events=_skewed_events(events), name="prop-skew")
@@ -127,16 +126,14 @@ def test_streamed_work_stealing_matches_serial_byte_for_byte(
         default_app="wc", seed=seed, tenant_profiles=profile_map or None
     )
     serial = render_json(
-        run_parallel_replay(
-            trace, spec, shards=1, workers=1, stream=False
-        ).to_dict()
+        run_parallel_replay(trace, spec, shards=1, workers=1).to_dict()
     )
     for shards in (1, 2, 4):
         for workers in (1, 2):
-            streamed = run_parallel_replay(
-                trace, spec, shards=shards, workers=workers, stream=True
+            pooled = run_parallel_replay(
+                trace, spec, shards=shards, workers=workers
             )
-            assert render_json(streamed.to_dict()) == serial, (
+            assert render_json(pooled.to_dict()) == serial, (
                 shards, workers,
             )
 
@@ -147,14 +144,15 @@ def test_streamed_work_stealing_matches_serial_byte_for_byte(
     events=events,
     profile_map=profiles,
     seed=st.integers(0, 2**16),
-    shards=st.integers(min_value=1, max_value=5),
+    order=st.randoms(use_true_random=False),
 )
 def test_cell_seeds_are_independent_of_sharding(
-    events, profile_map, seed, shards
+    events, profile_map, seed, order
 ):
-    """Per-cell seeds derive from (spec, cell) alone — partitioning the
-    same cells into any number of shards yields the same seed per key,
-    so no shard or worker index can leak into a cell's RNG streams."""
+    """Per-cell seeds derive from (spec, cell) alone — deriving them in
+    any cell order (work stealing runs cells in completion order) yields
+    the same seed per key, so no worker's schedule can leak into a
+    cell's RNG streams."""
     trace = InvocationTrace(events=events, name="prop")
     spec = ReplaySpec(
         default_app="wc", seed=seed, tenant_profiles=profile_map or None
@@ -163,18 +161,11 @@ def test_cell_seeds_are_independent_of_sharding(
         key: spec.cell_seed(key, cell)
         for key, cell in TenantShardPolicy().split(trace)
     }
-    via_partition = {
-        key: spec.cell_seed(key, cell)
-        for batch in partition_trace(trace, shards)
-        for key, cell in batch
-    }
-    assert via_partition == direct
+    shuffled = TenantShardPolicy().split(trace)
+    order.shuffle(shuffled)
+    assert {key: spec.cell_seed(key, cell) for key, cell in shuffled} == direct
     # And resolution itself is cell-pure: same profile tag either way.
-    tags = {
-        key: spec.resolve(key, cell).tag()
-        for batch in partition_trace(trace, shards)
-        for key, cell in batch
-    }
+    tags = {key: spec.resolve(key, cell).tag() for key, cell in shuffled}
     for key, cell in TenantShardPolicy().split(trace):
         assert tags[key] == spec.resolve(key, cell).tag()
 

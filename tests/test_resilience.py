@@ -7,8 +7,8 @@ Three clusters of assertions:
   round-trips for everything that crosses a process or wire boundary.
 * **Crash identity** — the tentpole property: SIGKILL a pool worker
   (or its serial stand-in) mid-cell and the recovered report is
-  *byte-identical* to the fault-free run, under the streaming and the
-  batched engine alike, at any shard count.  Degraded runs
+  *byte-identical* to the fault-free run, on the serial loop and the
+  work-stealing pool alike.  Degraded runs
   (``on_cell_failure="skip"``) are deterministic too.
 * **Admission control** — the serve layer's 429 contract: queue-depth
   bounds and per-tenant concurrent-run quotas reject with
@@ -310,8 +310,8 @@ def test_spill_scratch_cleaned_up_when_replay_fails(tmp_path):
 @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
 def test_crash_identity_across_engines_and_shards(seed):
     """SIGKILL a worker mid-cell on attempt 1: the recovered report is
-    byte-identical to the fault-free serial control, for the streaming
-    and the batched engine, at shards 1/2/4."""
+    byte-identical to the fault-free serial control, on the serial loop
+    (whose kill stand-in raises) and the work-stealing pool."""
     trace = synthesize_trace(
         tenants=3, duration_s=8.0, mean_rpm=40.0, apps=["wc"], seed=seed,
     )
@@ -322,16 +322,15 @@ def test_crash_identity_across_engines_and_shards(seed):
         faults=(FaultSpec(kind="kill", cell=victim, attempt=1),)
     )
     retry = RetryPolicy(max_attempts=4, backoff_base_s=0.01)
-    for stream in (True, False):
-        for shards in (1, 2, 4):
-            result = run_parallel_replay(
-                trace, spec, shards=shards, workers=2, stream=stream,
-                retry=retry, fault_plan=plan,
-            )
-            assert render_json(result.to_dict()) == control, (
-                f"report diverged after worker crash "
-                f"(stream={stream}, shards={shards}, seed={seed})"
-            )
+    for workers in (1, 2):
+        result = run_parallel_replay(
+            trace, spec, shards=workers, workers=workers,
+            retry=retry, fault_plan=plan,
+        )
+        assert render_json(result.to_dict()) == control, (
+            f"report diverged after worker crash "
+            f"(workers={workers}, seed={seed})"
+        )
 
 
 # -- the CLI surface ----------------------------------------------------------

@@ -4,8 +4,7 @@ The durability claim behind ``repro serve --journal`` reduces to one
 engine property: resuming from *any* prefix of journaled cell
 completions — the residues round-tripped through JSON exactly as the
 journal stores them — must merge to a report byte-identical to the
-uninterrupted run, at any shard count, on both the streaming and the
-batched path.  These tests drive ``run_parallel_replay``'s
+uninterrupted run, at any shard count.  These tests drive ``run_parallel_replay``'s
 ``completed_cells`` entry point directly (no server, no file), so a
 failure localizes to the engine rather than the journal plumbing.
 """
@@ -61,8 +60,8 @@ def _journal_round_trip(payload):
           suppress_health_check=list(HealthCheck))
 @given(events=events, profile_map=profiles, seed=st.integers(0, 2**16))
 def test_resume_from_any_prefix_is_byte_identical(events, profile_map, seed):
-    """For every prefix of completed cells, for shards 1/2/4, streaming
-    and batched: resumed report == uninterrupted report, byte for byte."""
+    """For every prefix of completed cells, for shards 1/2/4: resumed
+    report == uninterrupted report, byte for byte."""
     trace = InvocationTrace(events=events, name="prop-resume")
     spec = ReplaySpec(
         default_app="wc", seed=seed, tenant_profiles=profile_map or None
@@ -80,7 +79,6 @@ def test_resume_from_any_prefix_is_byte_identical(events, profile_map, seed):
         for shards in (1, 2, 4):
             resumed = run_parallel_replay(
                 trace, spec, shards=shards, workers=1,
-                stream=(shards != 2),  # cover both engine paths
                 on_cell=lambda cell: remaining.append(cell.key),
                 completed_cells=checkpoint or None,
             )

@@ -168,7 +168,6 @@ def test_synth_run_and_engine_knobs(server, tmp_path):
         "synth": {"tenants": 3, "duration_s": 10.0, "mean_rpm": 30.0,
                   "seed": 9, "name": "synthetic"},
         "workers": 2,
-        "stream": True,
     }
     snap = _submit_and_wait(server, body)
     assert snap["status"] == "done", snap.get("error")
@@ -200,18 +199,6 @@ def test_concurrent_submissions_converge(server, tmp_path):
         tmp_path, TRACE, ["--app", "wc", "--seed", "7"]
     )
     assert reports[0] == render_json(reference)
-
-
-def test_batched_engine_run_matches_cli(server, tmp_path):
-    """"stream": false exercises the static batched engine; the report
-    stays byte-identical and "workers" sets the shard width."""
-    body = dict(RUN_BODY, stream=False, workers=2)
-    snap = _submit_and_wait(server, body)
-    assert snap["status"] == "done", snap.get("error")
-    reference = _cli_replay_report(
-        tmp_path, TRACE, ["--app", "wc", "--seed", "7"]
-    )
-    assert render_json(snap["report"]) == render_json(reference)
 
 
 def test_tenant_config_run_tags_report(server):
@@ -403,6 +390,9 @@ def test_bad_tenant_config_is_400_naming_tenant(server):
     ({"unknown_key": 1}, "unknown request keys"),
     ({"synth": {"tenants": 2}}, "exactly one of"),
     ({"trace": {"events": []}}, "non-empty"),
+    # One scheduler serves every run, so "stream" is an unknown key.
+    ({"stream": False}, "stream"),
+    ({"stream": True}, "stream"),
 ])
 def test_bad_run_bodies_are_400(server, mutation, fragment):
     status, payload = _post(server, "/v1/runs", dict(RUN_BODY, **mutation))

@@ -8,8 +8,8 @@ Two halves, mirroring :mod:`repro.metrics.telemetry`:
 - end-to-end coverage that every kind the engine and
   :class:`~repro.serve.jobs.JobStore` can emit actually appears on a
   real event stream — fresh, failed, journal-resumed, and interrupted
-  runs — plus the hypothesis property that streamed and batched engines
-  carry identical counter totals.
+  runs — plus the hypothesis property that the serial loop and the
+  work-stealing pool carry identical counter totals.
 """
 
 import json
@@ -412,7 +412,7 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
     assert seen == set(event_kinds())
 
 
-# -- streamed vs batched carry identical counter totals -----------------------
+# -- serial and pool runs carry identical counter totals ----------------------
 
 
 @settings(
@@ -434,11 +434,11 @@ def test_streamed_and_batched_counter_totals_match(seed, tenants):
         },
     }
     totals = {}
-    for stream in (True, False):
+    for workers in (1, 2):
         store = JobStore(workers=1)
         try:
             run_id = store.submit(
-                parse_run_request(dict(body, stream=stream))
+                parse_run_request(dict(body, workers=workers))
             )
             events = _drain(store, run_id)
         finally:
@@ -453,5 +453,5 @@ def test_streamed_and_batched_counter_totals_match(seed, tenants):
         assert counters["cells_completed"] == sum(
             1 for e in events if e["event"] == "cell"
         )
-        totals[stream] = counters
-    assert totals[True] == totals[False]
+        totals[workers] = counters
+    assert totals[1] == totals[2]

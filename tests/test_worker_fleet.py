@@ -3,10 +3,10 @@
 The control-plane split's acceptance criteria, proven end to end:
 
 - **Byte-identity matrix** — the same trace replayed by the local
-  streamed engine (shards 1/2/4), the local batched engine
-  (shards 1/2/4), and the remote fleet (1/2/4 in-process workers
-  speaking the real lease/complete protocol, results JSON-round-tripped
-  like the wire does) produces ONE SHA-256 over the rendered report.
+  serial loop (1 worker), the local work-stealing pool (2/4 workers),
+  and the remote fleet (1/2/4 in-process workers speaking the real
+  lease/complete protocol, results JSON-round-tripped like the wire
+  does) produces ONE SHA-256 over the rendered report.
 - **Lease lifecycle under a fake clock** — expiry, requeue with a
   charged attempt, retry-budget exhaustion into a ``lease-expired``
   cell failure, stale-result rejection, and dead-worker eviction, all
@@ -143,25 +143,16 @@ def _conformance_trace(tenants=6, duration_s=30.0, mean_rpm=60.0, seed=5):
 
 
 def test_fleet_streamed_batched_agree_byte_for_byte():
-    """The headline matrix: local streamed x shards, local batched x
-    shards, remote fleet x worker counts — one SHA-256."""
+    """The headline matrix: the local serial loop, the local pool, and
+    the remote fleet, each at 1/2/4 workers — one SHA-256."""
     trace = _conformance_trace()
     spec = ReplaySpec(default_app="wc", seed=7)
     hashes = {}
-    for shards in (1, 2, 4):
-        streamed = run_parallel_replay(
-            trace, spec, shards=shards, workers=1, stream=True
-        )
-        hashes[f"streamed/shards={shards}"] = _sha(
-            render_json(streamed.to_dict())
-        )
-        batched = run_parallel_replay(
-            trace, spec, shards=shards, workers=1, stream=False
-        )
-        hashes[f"batched/shards={shards}"] = _sha(
-            render_json(batched.to_dict())
-        )
     for workers in (1, 2, 4):
+        local = run_parallel_replay(trace, spec, workers=workers)
+        hashes[f"local/workers={workers}"] = _sha(
+            render_json(local.to_dict())
+        )
         hashes[f"fleet/workers={workers}"] = _sha(
             _fleet_report(trace, spec, workers)
         )
@@ -193,17 +184,15 @@ from repro.loadgen.trace import InvocationTrace  # noqa: E402
 @given(events=events, seed=st.integers(0, 2**16))
 def test_fleet_matches_local_engines_on_skewed_traces(events, seed):
     """Property form of the matrix: over random skewed multi-tenant
-    traces, 1/2/4 remote workers hash identically to the local
-    streamed and batched engines."""
+    traces, 1/2/4 remote workers hash identically to the local serial
+    loop and the local pool."""
     trace = InvocationTrace(events=_skewed_events(events), name="prop-fleet")
     spec = ReplaySpec(default_app="wc", seed=seed)
     local = {
         _sha(render_json(
-            run_parallel_replay(
-                trace, spec, shards=2, workers=1, stream=stream
-            ).to_dict()
+            run_parallel_replay(trace, spec, workers=workers).to_dict()
         ))
-        for stream in (True, False)
+        for workers in (1, 2)
     }
     fleet = {
         _sha(_fleet_report(trace, spec, workers)) for workers in (1, 2, 4)

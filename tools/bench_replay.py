@@ -11,17 +11,18 @@ trajectory file::
     PYTHONPATH=src python tools/bench_replay.py --points spill,multicore
     PYTHONPATH=src python tools/bench_replay.py --output /tmp/b.json
 
-Points: ``throughput`` (serial vs parallel), ``skew`` (static-batched
-vs work-stealing on the skewed trace), ``memory`` (per-engine peak
-RSS), ``multicore`` (shards×workers sweep, both engines), ``spill``
-(streamed-engine RSS with the in-memory vs disk-spill record sink —
+Points: ``throughput`` (serial vs pool, with the pool's critical path
+and the largest cell's event share), ``memory`` (pool wall clock and
+peak RSS on the skewed trace), ``multicore`` (shards×workers sweep),
+``spill`` (pool RSS with the in-memory vs disk-spill record sink —
 fails if spill does not win at >= 50k events).
 
-Every engine-vs-engine measurement replays in a *fresh subprocess*
-(the hidden ``--engine`` mode below) so wall clock and the monotonic
-``ru_maxrss`` high-water mark are isolated per engine — and so neither
-engine's forked workers inherit the other's heap.  Report identity is
-asserted across processes via the canonical rendering's SHA-256.
+The memory, multicore and spill measurements replay in a *fresh
+subprocess* (the hidden ``--one-replay`` mode below) so wall clock and
+the monotonic ``ru_maxrss`` high-water mark are isolated per
+configuration — and so no run's forked workers inherit another run's
+heap.  Report identity is asserted across processes via the canonical
+rendering's SHA-256.
 
 CI runs this at reduced scale and uploads the result as an artifact
 (plus the full-scale spill gate); full-scale runs are recorded
@@ -52,10 +53,10 @@ _spec.loader.exec_module(bench)
 DEFAULT_OUTPUT = ROOT / "BENCH_replay.json"
 
 
-def _run_engine(
-    engine: str, scale: float, workers: int, shards: int, record_sink: str
+def _run_one(
+    scale: float, workers: int, shards: int, record_sink: str
 ) -> dict:
-    """The hidden ``--engine`` subprocess body: one isolated replay."""
+    """The hidden ``--one-replay`` subprocess body: one isolated replay."""
     from repro.metrics.report import render_json
 
     sink = None
@@ -63,12 +64,9 @@ def _run_engine(
         from repro.parallel.sink import RecordSinkSpec
 
         sink = RecordSinkSpec(kind="spill")
-    result = bench.replay_skewed(
-        engine == "streamed", scale, workers, shards, record_sink=sink
-    )
+    result = bench.replay_skewed(scale, workers, shards, record_sink=sink)
     report = render_json(result.to_dict())
     return {
-        "engine": engine,
         "record_sink": record_sink,
         "events": result.offered,
         "wall_s": round(result.wall_s, 4),
@@ -82,18 +80,15 @@ def _run_engine(
 
 
 def memory_point(scale: float, workers: int) -> dict:
-    """Per-engine peak RSS over the skewed trace, isolated per process."""
-    streamed = bench.engine_subprocess("streamed", scale, workers)
-    batched = bench.engine_subprocess("batched", scale, workers)
+    """Pool wall clock and peak RSS over the skewed trace, in a fresh
+    process."""
+    run = bench.replay_subprocess(scale, workers)
     return {
         "bench": "replay_memory",
-        "events": streamed["events"],
+        "events": run["events"],
         "workers": workers,
-        "streamed_wall_s": streamed["wall_s"],
-        "batched_wall_s": batched["wall_s"],
-        "streamed_max_rss_mb": streamed["max_rss_mb"],
-        "batched_max_rss_mb": batched["max_rss_mb"],
-        "identical": streamed["report_sha256"] == batched["report_sha256"],
+        "wall_s": run["wall_s"],
+        "max_rss_mb": run["max_rss_mb"],
     }
 
 
@@ -109,11 +104,11 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="trajectory file to append the run to "
                         "(default: BENCH_replay.json at the repo root)")
-    parser.add_argument("--points", default="throughput,skew,memory",
-                        help="comma-separated subset of throughput,skew,"
+    parser.add_argument("--points", default="throughput,memory",
+                        help="comma-separated subset of throughput,"
                         "memory,multicore,spill to record (full-scale "
-                        "runs usually record skew/memory/spill only)")
-    parser.add_argument("--engine", choices=["streamed", "batched"],
+                        "runs usually record memory/spill only)")
+    parser.add_argument("--one-replay", action="store_true",
                         help=argparse.SUPPRESS)  # internal subprocess mode
     parser.add_argument("--shards", type=int, default=bench.SHARDS,
                         help=argparse.SUPPRESS)  # internal subprocess mode
@@ -122,15 +117,14 @@ def main(argv=None) -> int:
                         help=argparse.SUPPRESS)  # internal subprocess mode
     args = parser.parse_args(argv)
 
-    if args.engine:
-        print(json.dumps(_run_engine(
-            args.engine, args.scale, args.workers, args.shards,
-            args.record_sink,
+    if args.one_replay:
+        print(json.dumps(_run_one(
+            args.scale, args.workers, args.shards, args.record_sink,
         )))
         return 0
 
     selected = {name.strip() for name in args.points.split(",") if name.strip()}
-    unknown = selected - {"throughput", "skew", "memory", "multicore", "spill"}
+    unknown = selected - {"throughput", "memory", "multicore", "spill"}
     if unknown:
         parser.error(f"unknown --points: {sorted(unknown)}")
     if not selected:
@@ -138,8 +132,6 @@ def main(argv=None) -> int:
     points = []
     if "throughput" in selected:
         points.append(bench.throughput_point(args.scale))
-    if "skew" in selected:
-        points.append(bench.skew_point(args.scale, args.workers))
     if "memory" in selected:
         points.append(memory_point(args.scale, args.workers))
     if "multicore" in selected:
