@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the mechanism toggles ``docs/execution-model.md``
+lists under "Every mechanism has a knob".
 
 Beyond the paper's own ablation (Figure 12, pressure-aware scaling),
 these benches quantify the contribution of each DataFlower mechanism on

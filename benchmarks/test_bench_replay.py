@@ -22,8 +22,12 @@ process a later run's forked workers inherit the earlier run's heap
 and the RSS high-water mark is monotonic — same-process comparison
 systematically penalizes whichever configuration runs second.
 
-Assertions scale with the cores actually available — on a single-core
-runner the comparison only bounds overhead.  ``BENCH_REPLAY_SCALE``
+With two or more cores the pool is held to the fastest schedule the
+trace allows, ``max(critical_path_s, serial_wall_s / workers)``, not to
+a fixed speedup: on the seed-7 trace one cell carries ~64% of the
+events, so the reachable speedup is only ~1.2–1.35 on two cores and a
+fixed bar just under that fails on host noise.  On a single-core runner
+the comparison only bounds overhead.  ``BENCH_REPLAY_SCALE``
 scales trace duration (1.0 ~= 900 events; ~114 gives the 100k-event
 acceptance trace).
 """
@@ -44,6 +48,10 @@ SHARDS = 4
 WORKERS = 4
 SMALL_TENANTS = 24
 SKEW_SEED = 7
+#: How far the pool's wall clock may exceed the fastest schedule the
+#: trace allows.  A pool that ran every cell one after another fails it
+#: whenever the largest cell is under 80% of the serial work.
+SCHEDULE_SLACK = 1.25
 
 _BENCH_TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_replay.py"
 
@@ -214,11 +222,13 @@ def test_bench_replay_throughput(benchmark):
     print("BENCH " + json.dumps(point, sort_keys=True))
     benchmark.extra_info.update(point)
 
-    cores = point["cpu_count"]
-    if cores >= 4:
-        assert point["speedup"] > 1.5, point
-    elif cores >= 2:
-        assert point["speedup"] > 1.1, point
+    if point["cpu_count"] >= 2:
+        # No schedule beats its slowest cell or an even split of the work.
+        bound = max(
+            point["critical_path_s"],
+            point["serial_wall_s"] / point["workers"],
+        )
+        assert point["parallel_wall_s"] <= SCHEDULE_SLACK * bound, point
     else:
         # Single core: no speedup possible; bound the pool overhead.
         assert point["parallel_wall_s"] < point["serial_wall_s"] * 3.0, point

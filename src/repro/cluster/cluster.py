@@ -22,7 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Topology and device parameters (paper defaults, see DESIGN.md)."""
+    """Topology and device parameters (the paper's §9.1 testbed defaults,
+    see ``docs/architecture.md``)."""
 
     worker_count: int = 3
     worker_cores: float = 16.0

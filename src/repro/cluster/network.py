@@ -8,9 +8,12 @@ crosses one or more links; its instantaneous rate is::
 
 Rates therefore change only when some link's membership changes, never due
 to another flow's rate — a *bounded fair-share approximation* of max-min
-fairness (see DESIGN.md §4): it never oversubscribes a link, rebalances on
-each flow arrival/departure, and is fully deterministic, but does not
-perform multi-hop cascade rebalancing.
+fairness (see ``docs/architecture.md``, "Flow timers"): it never
+oversubscribes a link and is fully deterministic, but does not perform
+multi-hop cascade rebalancing.  Each flow arrival or departure settles
+every flow sharing a link with it and recomputes its rate, but re-arms a
+flow's completion timer only when its deadline moved: a flow whose rate
+and settled deadline are bit-equal to before keeps its live timer.
 """
 
 from __future__ import annotations
@@ -85,6 +88,9 @@ class Flow:
         self.done: Event = Event(self.env)
         self._last_update = self.env.now
         self._timer_generation = 0
+        #: Absolute time the live completion timer fires at (``None``
+        #: while no timer is live: stalled, or not armed yet).
+        self._deadline: Optional[float] = None
         self._active = True
 
     @property
@@ -131,6 +137,10 @@ class NetworkFabric:
         self.links: dict = {}
         self.flow_count = 0
         self.bytes_moved = 0.0
+        #: Completion timers scheduled, and those that fired after a
+        #: rebalance or cancel had superseded them.
+        self.timers_armed = 0
+        self.stale_timer_fires = 0
 
     def link(self, name: str, capacity_bps: float) -> SharedLink:
         """Create (or fetch) the named link."""
@@ -220,7 +230,11 @@ class NetworkFabric:
         # flows' completion timers, and the event queue breaks same-time
         # ties by insertion order — iterating the raw set would leak
         # object addresses (which vary run to run within a process) into
-        # simulated results.
+        # simulated results.  Settling stays unconditional (skipping it
+        # for an unchanged flow moves its residue in the last ulp), but a
+        # flow whose settled deadline is bit-equal to its live timer's
+        # keeps that timer instead of queueing a duplicate.
+        now = self.env.now
         for flow in sorted(flows, key=lambda f: f.index):
             if not flow._active:
                 continue
@@ -228,6 +242,13 @@ class NetworkFabric:
             new_rate = flow.rate_cap
             for link in flow.links:
                 new_rate = min(new_rate, link.share())
+            if (
+                new_rate == flow.rate
+                and flow._deadline is not None
+                and now + flow.remaining / new_rate == flow._deadline
+                and not self._drained(flow)
+            ):
+                continue
             flow.rate = new_rate
             self._arm_timer(flow)
 
@@ -238,6 +259,7 @@ class NetworkFabric:
     def _arm_timer(self, flow: Flow) -> None:
         flow._timer_generation += 1
         generation = flow._timer_generation
+        flow._deadline = None
         if self._drained(flow):
             self._complete(flow)
             return
@@ -253,10 +275,13 @@ class NetworkFabric:
         completion.callbacks.append(
             lambda _ev, f=flow, g=generation: self._on_timer(f, g)
         )
+        self.timers_armed += 1
+        flow._deadline = self.env.now + eta
         self.env.schedule(completion, delay=eta)
 
     def _on_timer(self, flow: Flow, generation: int) -> None:
         if not flow._active or generation != flow._timer_generation:
+            self.stale_timer_fires += 1
             return  # stale timer from before a rate change
         self._settle(flow)
         if not self._drained(flow):

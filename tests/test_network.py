@@ -157,6 +157,139 @@ def test_utilization_never_exceeds_one():
         assert flow.rate == pytest.approx(100.0 / 7)
 
 
+def test_unchanged_deadline_keeps_live_timer():
+    """A flow whose rate a join leaves alone keeps its armed timer."""
+    def run(with_joiner):
+        env, fabric = make_fabric()
+        narrow = fabric.link("x", 100.0)
+        wide = fabric.link("y", 1000.0)
+        a = fabric.transfer(1000.0, [narrow, wide])
+        generation = a._timer_generation
+        env.run(until=5.0)
+        if with_joiner:
+            scheduled = env.events_scheduled
+            # B halves y's share to 500 B/s: still above A's 100 on x.
+            fabric.transfer(10_000.0, [wide])
+            assert a.rate == 100.0
+            assert a._timer_generation == generation
+            assert env.events_scheduled == scheduled + 1  # B's timer only
+            assert fabric.timers_armed == 2
+        env.run(until=a.done)
+        return a.finished_at, fabric.stale_timer_fires
+
+    assert run(with_joiner=True) == run(with_joiner=False) == (10.0, 0)
+
+
+def test_lowered_rate_arms_exactly_one_new_timer():
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    a = fabric.transfer(1000.0, [link])
+    generation = a._timer_generation
+    env.run(until=5.0)
+    scheduled = env.events_scheduled
+    fabric.transfer(1000.0, [link])
+    assert a.rate == 50.0
+    assert a._timer_generation == generation + 1
+    assert env.events_scheduled == scheduled + 2  # A's new timer and B's
+    env.run()
+    # Superseded: A's first timer (due at 10) and, once A ends at 15 and
+    # B speeds up to 100 B/s, B's first timer (due at 25).
+    assert a.finished_at == pytest.approx(15.0)
+    assert fabric.timers_armed == 4
+    assert fabric.stale_timer_fires == 2
+
+
+class _RearmCountingFabric(NetworkFabric):
+    """Classifies every re-arm of a flow that has a live timer."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.rate_changes = 0
+        self.deadline_moves = 0
+        self.equal_deadline_rearms = 0
+        self.armed_rate = {}
+
+    def _arm_timer(self, flow):
+        if flow._deadline is not None:
+            if flow.rate != self.armed_rate[flow.index]:
+                self.rate_changes += 1
+            elif (self._drained(flow) or self.env.now
+                  + flow.remaining / flow.rate != flow._deadline):
+                self.deadline_moves += 1  # float rounding moved it
+            else:
+                self.equal_deadline_rearms += 1
+        self.armed_rate[flow.index] = flow.rate
+        super()._arm_timer(flow)
+
+
+class _AlwaysRearmFabric(NetworkFabric):
+    """The reference rule: every rebalance re-arms every affected flow."""
+
+    def _rebalance(self, flows):
+        for flow in flows:
+            flow._deadline = None
+        super()._rebalance(flows)
+
+
+def _contended_run(fabric_cls, seed):
+    """Eight flows over three shared links with random caps and starts;
+    returns the fabric and each flow's (index, finish time)."""
+    import random
+
+    rng = random.Random(seed)
+    env = Environment()
+    fabric = fabric_cls(env)
+    # Round capacities, sizes and start times make same-time ties likely.
+    links = [
+        fabric.link(f"l{i}", rng.choice([100.0, 250.0, rng.uniform(10, 1000)]))
+        for i in range(3)
+    ]
+    finished = []
+
+    def launch(env, delay, size, chosen, cap):
+        yield env.timeout(delay)
+        flow = fabric.transfer(size, chosen, rate_cap=cap)
+        yield flow.done
+        finished.append((flow.index, flow.finished_at))
+
+    for _ in range(8):
+        env.process(launch(
+            env, rng.choice([0.0, 1.0, 2.5, rng.uniform(0, 5)]),
+            rng.choice([1000.0, rng.uniform(1, 5000)]),
+            rng.sample(links, rng.randint(1, 3)),
+            rng.choice([math.inf, 50.0, rng.uniform(10, 500)]),
+        ))
+    env.run()
+    return fabric, sorted(finished)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_property_stale_fires_bounded_by_moved_deadlines(seed):
+    """Every stale timer traces to a superseded deadline.
+
+    A rebalance re-arms a live timer only when the flow's rate changed
+    or float rounding moved its settled deadline; an unchanged deadline
+    never queues a duplicate.  With multi-link contention and rate caps
+    the second kind does occur, so rate changes alone do not bound the
+    stale fires."""
+    fabric, _ = _contended_run(_RearmCountingFabric, seed)
+    assert fabric.equal_deadline_rearms == 0
+    assert fabric.stale_timer_fires <= (
+        fabric.rate_changes + fabric.deadline_moves
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_property_kept_timers_finish_bit_identically(seed):
+    """Keeping a live timer never moves a completion, not even by an ulp."""
+    kept, finished = _contended_run(NetworkFabric, seed)
+    rearmed, reference = _contended_run(_AlwaysRearmFabric, seed)
+    assert finished == reference
+    assert kept.timers_armed <= rearmed.timers_armed
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     sizes=st.lists(

@@ -7,6 +7,12 @@ a fixed synthetic trace through ``run_trace`` and reports:
 
 - ``events_per_request``: ``Environment.events_scheduled`` ÷ requests;
 - ``processes_per_request``: ``Environment.processes_started`` ÷ requests;
+- ``timer_fires_per_request``: flow completion timers that fired during
+  the replay (``NetworkFabric.timers_armed`` less those still queued
+  when it ends) ÷ requests;
+- ``stale_timer_ratio``: the share of those fires that found their timer
+  superseded by a later rebalance or a cancel
+  (``NetworkFabric.stale_timer_fires``);
 - ``us_per_event``: replay seconds ÷ events;
 - ``requests_per_s``: requests ÷ replay seconds, the median of ``--reps``
   timed replays after one untimed warm-up;
@@ -59,6 +65,19 @@ def _trace(app: str, requests: int):
     return InvocationTrace(events=trace.events[:requests], name=trace.name)
 
 
+def _queued_flow_timers(env) -> int:
+    """Flow completion timers still in the event queue."""
+    return sum(
+        1 for *_, event in env._queue
+        if event.callbacks and any(
+            getattr(callback, "__qualname__", "").startswith(
+                "NetworkFabric._arm_timer."
+            )
+            for callback in event.callbacks
+        )
+    )
+
+
 def measure_point(system: str, app: str, requests: int, reps: int) -> dict:
     """The subprocess body: one warm-up and ``reps`` timed replays."""
     from repro.loadgen.trace import run_trace
@@ -82,7 +101,9 @@ def measure_point(system: str, app: str, requests: int, reps: int) -> dict:
     if len(digests) != 1:
         raise SystemExit(f"{system}/{app}: report changed between replays")
     env = setup.env
+    fabric = setup.cluster.fabric
     wall = statistics.median(samples)
+    timer_fires = fabric.timers_armed - _queued_flow_timers(env)
     return {
         "system": system,
         "app": app,
@@ -90,6 +111,10 @@ def measure_point(system: str, app: str, requests: int, reps: int) -> dict:
         "completed": sum(1 for r in result.records if r.completed),
         "events_per_request": round(env.events_scheduled / requests, 2),
         "processes_per_request": round(env.processes_started / requests, 2),
+        "timer_fires_per_request": round(timer_fires / requests, 2),
+        "stale_timer_ratio": round(
+            fabric.stale_timer_fires / timer_fires if timer_fires else 0.0, 3
+        ),
         "us_per_event": round(1e6 * wall / env.events_scheduled, 3),
         "requests_per_s": round(requests / wall, 1),
         "report_sha256": digests.pop(),
